@@ -61,6 +61,11 @@ SUBJECT_FEATURES = {
 
 NEGATION_PARTICLES = frozenset({"لم", "لن"})
 
+# Most surfaces one engine keeps analyses for. Far above the working set of
+# real text, so the cache is cleared only when a long-lived engine has seen
+# this many distinct words since the last clear.
+ANALYSIS_CACHE_SIZE = 65_536
+
 
 class FaultKind(str, Enum):
     SPELLING = "spelling"
@@ -216,6 +221,8 @@ class Engine:
         cached = self._analysis_cache.get(surface)
         if cached is None:
             cached = analyze_word(surface, self.lexicon, self.affixes)
+            if len(self._analysis_cache) >= ANALYSIS_CACHE_SIZE:
+                self._analysis_cache.clear()
             self._analysis_cache[surface] = cached
         return cached
 
@@ -274,7 +281,8 @@ class Engine:
         The text is scanned once and each distinct sentence is decided once
         per call. Sentences are independent, so contiguous chunks of them
         may be analyzed in parallel threads; the report is assembled in
-        document order either way and is byte-for-byte deterministic.
+        document order either way and is byte-for-byte deterministic. The
+        report's warnings start with those raised while loading the lexicon.
         """
         nt = normalize(text, self.options)
         sentences = scan_sentences(nt.normalized)
@@ -292,7 +300,7 @@ class Engine:
         else:
             parts = [self._analyze_sentences(nt, 0, sentences)]
 
-        report = Report()
+        report = Report(warnings=list(self.lexicon.warnings))
         for faults, records, warnings in parts:
             report.faults.extend(faults)
             report.structures.extend(records)

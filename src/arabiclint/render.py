@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import html
 import json
+from bisect import bisect_left
 
 from .engine import FaultKind, Report
 
@@ -117,8 +118,12 @@ def render_html(report: Report, text: str) -> str:
             classes.append("fault-structure")
         inner: list[str] = []
         cursor = start
-        for s, e, kind in marks:
-            if s < start or e > end:
+        # Marks are sorted, so this sentence's are a run starting at its start.
+        for i in range(bisect_left(marks, (start,)), len(marks)):
+            s, e, kind = marks[i]
+            if s > end:
+                break
+            if e > end:
                 continue
             inner.append(html.escape(text[cursor:s]))
             inner.append(f'<mark class="fault-{kind}">{html.escape(text[s:e])}</mark>')

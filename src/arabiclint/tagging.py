@@ -1,8 +1,11 @@
 """Labelling and disambiguation.
 
 Labelling attaches every lexicon analysis a word admits; disambiguation
-then searches the cross product of those candidate labels for the first
-assignment whose label sequence satisfies a structure rule. Tokens whose
+then picks one candidate per word so that the label sequence satisfies a
+structure rule, choosing the lexicographically first such assignment over
+candidate indices. It finds it by a depth-first search that keeps only the
+rules whose pattern still equals the labels chosen so far, so its depth is
+bounded by the longest pattern, not by the sentence length. Tokens whose
 candidates are all function-word categories (particles and prepositions)
 are set aside before matching, since rules describe the content-word
 skeleton of a sentence.
@@ -10,7 +13,6 @@ skeleton of a sentence.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import TaggingContractError
@@ -76,11 +78,18 @@ def disambiguate(
 ) -> tuple[SentenceStructure, MatchOutcome]:
     """Choose one analysis per token so the label sequence satisfies a rule.
 
-    Candidate assignments are tried lazily in lexicographic order over
-    candidate indices (leftmost token varying slowest) and the first
-    assignment whose labels match some rule wins. When nothing matches,
-    every token keeps its first candidate and the outcome is unmatched.
-    Either way every TaggedToken comes back with `chosen` set.
+    The winner is the first matching assignment in lexicographic order over
+    candidate indices (leftmost token varying slowest). A depth-first search
+    finds it without listing assignments: at each depth it tries candidates
+    in index order, carrying the rules whose pattern equals the labels
+    chosen so far, and prunes a candidate that leaves no such rule. It stops
+    at the first depth where a surviving prefix-mode rule ends, or an
+    exact-mode rule ends at full length; later tokens take their first
+    candidate, the smallest completion. Failed (depth, surviving rules)
+    states are remembered, so the work is bounded by the rule patterns and
+    linear in the sentence. When nothing matches, every token keeps its
+    first candidate and the outcome is unmatched. Either way every
+    TaggedToken comes back with `chosen` set.
     """
     active = []
     skipped_ordinals = []
@@ -105,17 +114,41 @@ def disambiguate(
             labels, rules
         )
 
-    for assignment in itertools.product(*(range(len(t.candidates)) for t in active)):
-        labels = tuple(
-            t.candidates[j].category.name for t, j in zip(active, assignment)
-        )
-        outcome = match_structure(labels, rules)
-        if outcome.matched:
-            for t, j in zip(active, assignment):
-                t.chosen = j
-            return SentenceStructure(labels=labels, skipped=skipped), outcome
+    width = len(active)
+    patterns = [rule.pattern for rule in rules]
+    # A rule can end a match only if it fits: prefix-mode rules up to the
+    # full width, exact-mode rules at exactly the full width.
+    fitting = tuple(
+        i
+        for i, rule in enumerate(rules)
+        if (len(rule.pattern) == width if rule.exact else len(rule.pattern) <= width)
+    )
+    prefix = _first_prefix(active, patterns, 0, fitting, set())
+    chosen = prefix or []
+    for depth, t in enumerate(active):
+        t.chosen = chosen[depth] if depth < len(chosen) else 0
+    labels = tuple(t.analysis.category.name for t in active)
+    outcome = MatchOutcome.unmatched() if prefix is None else match_structure(labels, rules)
+    return SentenceStructure(labels=labels, skipped=skipped), outcome
 
-    for t in active:
-        t.chosen = 0
-    labels = tuple(t.candidates[0].category.name for t in active)
-    return SentenceStructure(labels=labels, skipped=skipped), MatchOutcome.unmatched()
+
+def _first_prefix(active, patterns, depth, live, failed):
+    """Candidate indices of the first prefix below this node that a rule ends.
+
+    `live` holds the indices of the patterns that equal the labels chosen
+    above `depth`; `failed` collects the (depth, live) nodes already known
+    to lead nowhere. Returns None when no completion matches.
+    """
+    if any(len(patterns[i]) == depth for i in live):
+        return []
+    if (depth, live) in failed:
+        return None
+    for j, candidate in enumerate(active[depth].candidates):
+        label = candidate.category.name
+        survivors = tuple(i for i in live if patterns[i][depth] == label)
+        if survivors:
+            rest = _first_prefix(active, patterns, depth + 1, survivors, failed)
+            if rest is not None:
+                return [j, *rest]
+    failed.add((depth, live))
+    return None

@@ -5,9 +5,20 @@ enumeration, naive scanning, naive set arithmetic) so they stay independent
 of the code paths they check.
 """
 
+import html
 import itertools
+import signal
+from contextlib import contextmanager
 
-from arabiclint import Category, LexicalEntry, MorphAnalysis, TaggedToken, Token
+from arabiclint import (
+    Category,
+    FaultKind,
+    LexicalEntry,
+    MatchOutcome,
+    MorphAnalysis,
+    TaggedToken,
+    Token,
+)
 from arabiclint.segmentation import ARABIC_MARKS, SENTENCE_TERMINATORS
 
 
@@ -82,24 +93,84 @@ def oracle_segments(normalized):
     return segments
 
 
-def oracle_any_assignment_matches(tagged, rules, skip_categories=("Particule",)):
-    """Exhaustively try every candidate assignment against every rule."""
+def oracle_first_assignment(tagged, rules, skip_categories=("Particule",)):
+    """(chosen indices, labels, outcome) of the first matching assignment.
+
+    Walks every candidate assignment in lexicographic order and tries every
+    rule in file order against each; when none matches, every token keeps
+    its first candidate and the outcome is unmatched.
+    """
     active = [
         t
         for t in tagged
         if not all(c.category.name in skip_categories for c in t.candidates)
     ]
-    for assignment in itertools.product(*(t.candidates for t in active)):
-        labels = tuple(a.category.name for a in assignment)
+    for assignment in itertools.product(*(range(len(t.candidates)) for t in active)):
+        labels = tuple(t.candidates[j].category.name for t, j in zip(active, assignment))
+        chosen = dict(zip(map(id, active), assignment))
+        indices = [chosen.get(id(t), 0) for t in tagged]
         if not labels:
-            return True
+            return indices, labels, MatchOutcome.vacuous()
         for rule in rules:
             if rule.exact:
                 if labels == rule.pattern:
-                    return True
+                    return indices, labels, MatchOutcome.for_rule(rule.id)
             elif labels[: len(rule.pattern)] == rule.pattern:
-                return True
-    return False
+                return indices, labels, MatchOutcome.for_rule(rule.id)
+    labels = tuple(t.candidates[0].category.name for t in active)
+    return [0] * len(tagged), labels, MatchOutcome.unmatched()
+
+
+def oracle_any_assignment_matches(tagged, rules, skip_categories=("Particule",)):
+    """Exhaustively try every candidate assignment against every rule."""
+    return oracle_first_assignment(tagged, rules, skip_categories)[2].matched
+
+
+def oracle_render_html(report, text):
+    """render_html by brute force: every mark is tested against every sentence."""
+    marks = []
+    for fault in report.faults:
+        if fault.kind is FaultKind.STRUCTURE:
+            continue
+        for span in fault.spans:
+            marks.append((span[0], span[1], fault.kind.value))
+    marks.sort()
+
+    structure_fault_sentences = {
+        f.sentence_index for f in report.faults if f.kind is FaultKind.STRUCTURE
+    }
+
+    body = []
+    for record in report.structures:
+        start, end = record.span
+        classes = ["sentence"]
+        if record.index in structure_fault_sentences:
+            classes.append("fault-structure")
+        inner = []
+        cursor = start
+        for s, e, kind in marks:
+            if s < start or e > end:
+                continue
+            inner.append(html.escape(text[cursor:s]))
+            inner.append(f'<mark class="fault-{kind}">{html.escape(text[s:e])}</mark>')
+            cursor = e
+        inner.append(html.escape(text[cursor:end]))
+        body.append(f'<p class="{" ".join(classes)}" dir="rtl">{"".join(inner)}</p>')
+
+    summary = ", ".join(
+        f"{report.stats.get(kind.value, 0)} {kind.value}" for kind in FaultKind
+    )
+    style = (
+        "mark.fault-spelling{background:#fbb}"
+        "mark.fault-conjugation{background:#fbf}"
+        "p.fault-structure{background:#ffd}"
+    )
+    return (
+        "<!doctype html>\n<html><head><meta charset=\"utf-8\">"
+        f"<style>{style}</style></head>\n<body>\n"
+        + "\n".join(body)
+        + f"\n<p class=\"summary\">{summary}</p>\n</body></html>\n"
+    )
 
 
 def oracle_precision(d_plus, detected):
@@ -133,3 +204,19 @@ def synthetic_tagged(ordinal, category_names):
             )
         )
     return TaggedToken(token=token, candidates=candidates)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, instead of hanging, when the block runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -145,6 +145,25 @@ class TestCheck:
         path = write(tmp_path, "in.txt", "ذهب")
         assert main(["check", path]) == 2
 
+    def test_lexicon_warnings_reach_the_check_report(self, tmp_path, capsys, clean_env):
+        lexicon = write(
+            tmp_path,
+            "lex.xml",
+            "<MOTS><Verbes><Verbe>ذهب</Verbe><Verbe>ذهب</Verbe></Verbes>"
+            "<Noms><NomCommun>جملة</NomCommun></Noms></MOTS>",
+        )
+        rules = write(
+            tmp_path,
+            "rules.xml",
+            "<ReglesApplicables><ReglesPhrasesVerbales>"
+            "<regle>verbe NomCommun</regle>"
+            "</ReglesPhrasesVerbales></ReglesApplicables>",
+        )
+        text = write(tmp_path, "in.txt", "جملة")
+        main(["check", text, "--format", "json", "--lexicon", lexicon, "--structure-rules", rules])
+        report = json.loads(capsys.readouterr().out)
+        assert report["warnings"] == ["duplicate entry dropped: ذهب in <Verbe>"]
+
 
 class TestEval:
     def test_shipped_corpus_strict_exits_zero(self, capsys, clean_env):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -7,6 +8,7 @@ import arabiclint.engine as engine_module
 from arabiclint import (
     Engine,
     FaultKind,
+    analyze_word,
     check_conjugation,
     load_conjugation_rules,
     normalize,
@@ -259,6 +261,25 @@ class TestAnalyzeText:
     def test_stats_count_kinds(self, engine):
         report = engine.analyze_text("و يبحث في أصول تكوين الجمّة وقواعد")
         assert report.stats == {"spelling": 1, "structure": 1, "conjugation": 0}
+
+
+class TestAnalysisCache:
+    def test_cache_stays_bounded_and_analyses_unchanged(self):
+        engine = Engine.default()
+        cap = engine_module.ANALYSIS_CACHE_SIZE
+        letters = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
+        surfaces = [
+            "".join(p) for p in itertools.islice(itertools.product(letters, repeat=4), cap + 1)
+        ]
+        first = [engine.analyses(surface) for surface in surfaces]
+        assert len(engine._analysis_cache) <= cap
+        known = [i for i, analyses in enumerate(first) if analyses]
+        assert known  # some four-letter strings are lexicon words
+        for i in [0, *known, cap]:
+            expected = analyze_word(surfaces[i], engine.lexicon, engine.affixes)
+            assert first[i] == expected
+            assert engine.analyses(surfaces[i]) == expected
+        assert len(engine._analysis_cache) <= cap
 
 
 class TestConjugationGuard:

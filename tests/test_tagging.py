@@ -1,9 +1,14 @@
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arabiclint.tagging as tagging_module
 from arabiclint import (
+    Engine,
+    FaultKind,
     MatchOutcome,
     TaggingContractError,
     disambiguate,
@@ -15,7 +20,12 @@ from arabiclint import (
 )
 from arabiclint.rules import StructureRule
 
-from helpers import oracle_any_assignment_matches, synthetic_tagged
+from helpers import (
+    deadline,
+    oracle_any_assignment_matches,
+    oracle_first_assignment,
+    synthetic_tagged,
+)
 
 
 def tokens_of(text):
@@ -199,3 +209,45 @@ class TestDisambiguate:
                 assert outcome.matched == oracle, combo
                 checked += 1
         assert checked == 1 + 7 + 49 + 343
+
+    # Candidate lists may repeat a category name: the index, not the label,
+    # decides which analysis the conjugation check sees.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        words=st.lists(
+            st.lists(st.sampled_from(["X", "Y", "Z", "Particule"]), min_size=1, max_size=3),
+            max_size=6,
+        ),
+        rules=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["X", "Y", "Z", "Particule"]), min_size=1, max_size=4),
+                st.booleans(),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_equals_the_lexicographic_product(self, words, rules):
+        rule_set = [
+            StructureRule(id=f"r{i}", kind="Nominal", pattern=tuple(pattern), exact=exact)
+            for i, (pattern, exact) in enumerate(rules)
+        ]
+        tagged = [synthetic_tagged(i, names) for i, names in enumerate(words)]
+        expected_chosen, expected_labels, expected_outcome = oracle_first_assignment(
+            tagged, rule_set
+        )
+        structure, outcome = disambiguate(tagged, rule_set)
+        assert [t.chosen for t in tagged] == expected_chosen
+        assert structure.labels == expected_labels
+        assert outcome == expected_outcome
+
+    def test_unmatched_ambiguity_ladder_is_linear(self):
+        # و then 40 words that read as pronoun or particle: 2**40 assignments,
+        # none of which any bundled rule accepts.
+        engine = Engine.default()
+        text = "و " + " ".join(["انا"] * 40)
+        with deadline(seconds=2):
+            started = time.perf_counter()
+            report = engine.analyze_text(text)
+            elapsed = time.perf_counter() - started
+        assert elapsed < 0.05, f"{elapsed:.3f}s"
+        assert [f.kind for f in report.faults] == [FaultKind.STRUCTURE]
