@@ -23,7 +23,6 @@ from .errors import (
     CorpusError,
     LexiconLoadError,
     RuleLoadError,
-    TaggingContractError,
 )
 from .evaluation import (
     EvalSets,
@@ -63,7 +62,7 @@ from .segmentation import (
     split_sentences,
     tokenize,
 )
-from .tagging import SentenceStructure, TaggedToken, disambiguate, tag_sentence
+from .tagging import SentenceStructure, TaggedToken, disambiguate
 
 __version__ = "0.1.0"
 
@@ -96,7 +95,6 @@ __all__ = [
     "SpellingVerdict",
     "StructureRule",
     "TaggedToken",
-    "TaggingContractError",
     "Token",
     "analyze_word",
     "check_conjugation",
@@ -114,6 +112,5 @@ __all__ = [
     "normalize",
     "run_corpus",
     "split_sentences",
-    "tag_sentence",
     "tokenize",
 ]

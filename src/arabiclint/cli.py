@@ -21,22 +21,14 @@ import sys
 from .engine import Engine, EngineConfig, data_path, default_config
 from .errors import ArabicLintError
 from .evaluation import PrecisionResult, load_corpus, run_corpus
-from .lexicon import SpellingVerdict, analyze_word, check_spelling
+from .lexicon import SpellingVerdict
 from .render import ANSI_CODES, render_html, render_json, render_text
 from .segmentation import normalize
 
 CONFIG_ENV_VAR = "ARABICLINT_CONFIG"
 
-_CONFIG_KEYS = {
-    "lexicon",
-    "affixes",
-    "structure-rules",
-    "conjugation-rules",
-    "fold-hamza",
-    "keep-diacritics",
-    "format",
-    "color",
-}
+_FORMATS = ("text", "json", "html")
+_COLORS = ("auto", "always", "never")
 
 
 def _parse_bool(value: str) -> bool:
@@ -48,7 +40,31 @@ def _parse_bool(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
 
 
-def _load_env_config() -> dict[str, str]:
+def _choice(allowed):
+    def parse(value: str) -> str:
+        if value not in allowed:
+            raise argparse.ArgumentTypeError(
+                f"expected one of {', '.join(allowed)}, got {value!r}"
+            )
+        return value
+
+    return parse
+
+
+# Config file key -> parser of its value, the same check as the equivalent flag.
+_CONFIG_KEYS = {
+    "lexicon": str,
+    "affixes": str,
+    "structure-rules": str,
+    "conjugation-rules": str,
+    "fold-hamza": _parse_bool,
+    "keep-diacritics": _parse_bool,
+    "format": _choice(_FORMATS),
+    "color": _choice(_COLORS),
+}
+
+
+def _load_env_config() -> dict:
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
@@ -57,7 +73,7 @@ def _load_env_config() -> dict[str, str]:
             content = handle.read()
     except OSError as exc:
         raise ArabicLintError(f"cannot read {CONFIG_ENV_VAR} file: {exc}") from exc
-    values: dict[str, str] = {}
+    values = {}
     for lineno, raw in enumerate(content.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -68,7 +84,10 @@ def _load_env_config() -> dict[str, str]:
         key = key.strip().replace("_", "-")
         if key not in _CONFIG_KEYS:
             raise ArabicLintError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        try:
+            values[key] = _CONFIG_KEYS[key](value.strip())
+        except argparse.ArgumentTypeError as exc:
+            raise ArabicLintError(f"{path}:{lineno}: {key}: {exc}") from exc
     return values
 
 
@@ -87,7 +106,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser):
     )
 
 
-def _build_config(args, env: dict[str, str]) -> EngineConfig:
+def _build_config(args, env: dict) -> EngineConfig:
     config = default_config()
 
     def pick(flag_value, env_key):
@@ -108,15 +127,10 @@ def _build_config(args, env: dict[str, str]) -> EngineConfig:
     if conjugation:
         config.conjugation_rules_path = conjugation
 
-    fold = args.fold_hamza
-    if fold is None and "fold-hamza" in env:
-        fold = _parse_bool(env["fold-hamza"])
+    fold = pick(args.fold_hamza, "fold-hamza")
     if fold is not None:
         config.fold_hamza = fold
-
-    keep = args.keep_diacritics
-    if keep is None and "keep-diacritics" in env:
-        keep = _parse_bool(env["keep-diacritics"])
+    keep = pick(args.keep_diacritics, "keep-diacritics")
     if keep is not None:
         config.keep_diacritics = keep
     return config
@@ -219,17 +233,9 @@ def cmd_eval(args) -> int:
 
 def cmd_rules_validate(args) -> int:
     env = _load_env_config()
-    config = _build_config(args, env)
-    from .lexicon import load_affixes, load_lexicon
-    from .rules import load_conjugation_rules, load_structure_rules
-
-    opts = config.normalization
-    lexicon = load_lexicon(config.lexicon_path, opts)
-    affixes = load_affixes(config.affixes_path, opts)
-    structure_rules = load_structure_rules(
-        config.structure_rules_path, lexicon.category_names()
-    )
-    conjugation_rules = load_conjugation_rules(config.conjugation_rules_path, opts)
+    engine = Engine.from_config(_build_config(args, env))
+    lexicon, affixes = engine.lexicon, engine.affixes
+    structure_rules = engine.structure_rules
 
     print(f"lexicon: {len(lexicon)} entries, {len(lexicon.categories)} categories")
     print(
@@ -241,7 +247,7 @@ def cmd_rules_validate(args) -> int:
         f"structure rules: {len(structure_rules)} "
         f"({verbal} verbal, {len(structure_rules) - verbal} nominal)"
     )
-    print(f"conjugation rules: {len(conjugation_rules)}")
+    print(f"conjugation rules: {len(engine.conjugation_rules)}")
     for warning in lexicon.warnings:
         print(f"warning: {warning}")
     return 0
@@ -252,8 +258,8 @@ def cmd_lexicon_lookup(args) -> int:
     config = _build_config(args, env)
     engine = Engine.from_config(config)
     word = normalize(args.word, engine.options).normalized
-    analyses = analyze_word(word, engine.lexicon, engine.affixes)
-    verdict = check_spelling(word, engine.lexicon, engine.affixes)
+    analyses = engine.analyses(word)
+    verdict = SpellingVerdict.CORRECT if analyses else SpellingVerdict.UNKNOWN
     print(f"{args.word} -> {word}: {verdict.value}")
     for analysis in analyses:
         print(
@@ -274,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="analyze a text file or stdin")
     check.add_argument("input", nargs="?", default="-", help="input path or - for stdin")
     _add_engine_flags(check)
-    check.add_argument("--format", choices=["text", "json", "html"], default=None)
-    check.add_argument("--color", choices=["auto", "always", "never"], default=None)
+    check.add_argument("--format", choices=_FORMATS, default=None)
+    check.add_argument("--color", choices=_COLORS, default=None)
     check.add_argument(
         "--colors", metavar="KIND=COLOR,...",
         help="override fault colors, e.g. spelling=red,structure=cyan",

@@ -44,7 +44,7 @@ from .rules import (
     load_structure_rules,
 )
 from .segmentation import NormalizationOptions, Sentence, normalize, scan_sentences
-from .tagging import DEFAULT_SKIP_CATEGORIES, TaggedToken, disambiguate
+from .tagging import TaggedToken, disambiguate
 
 # Category names the algorithm is wired to. They are part of the data-file
 # contract: the shipped taxonomy provides them and custom lexicons must use
@@ -192,14 +192,12 @@ class Engine:
         structure_rules,
         conjugation_rules: ConjugationRuleSet,
         options: NormalizationOptions | None = None,
-        skip_categories=DEFAULT_SKIP_CATEGORIES,
     ):
         self.lexicon = lexicon
         self.affixes = affixes
         self.structure_rules = list(structure_rules)
         self.conjugation_rules = conjugation_rules
         self.options = options or NormalizationOptions()
-        self.skip_categories = frozenset(skip_categories)
         self._analysis_cache: dict[str, list] = {}
 
     @classmethod
@@ -230,8 +228,8 @@ class Engine:
         """Decide one sentence; the verdict depends only on its token surfaces."""
         faults = []
 
-        # Equivalent to filtering unknown words and then tag_sentence, but
-        # reuses the per-surface analysis cache.
+        # Unknown words become spelling faults; every known word is labelled
+        # with all of its cached analyses.
         tagged = []
         for token in sentence.tokens:
             candidates = self.analyses(token.surface)
@@ -242,9 +240,7 @@ class Engine:
                     (FaultKind.SPELLING, token.ordinal, f"unknown word: {token.surface}", None)
                 )
 
-        structure, outcome = disambiguate(
-            tagged, self.structure_rules, self.skip_categories
-        )
+        structure, outcome = disambiguate(tagged, self.structure_rules)
 
         if not outcome.matched and structure.labels:
             faults.append(
@@ -256,11 +252,7 @@ class Engine:
             conj_faults, conj_warnings = check_conjugation(
                 sentence, tagged, self.conjugation_rules
             )
-            ordinal_of = {token.span: token.ordinal for token in sentence.tokens}
-            for fault in conj_faults:
-                faults.append(
-                    (fault.kind, ordinal_of[fault.spans[0]], fault.message, fault.rule_id)
-                )
+            faults.extend(conj_faults)
             warnings = tuple(conj_warnings)
 
         # A whole-sentence fault starts where token 0 does; a spelling fault
@@ -345,16 +337,14 @@ class Engine:
 
 
 def check_conjugation(
-    sentence: Sentence,
-    tagged,
-    rules: ConjugationRuleSet,
-    negation_particles=NEGATION_PARTICLES,
-) -> tuple[list[Fault], list[str]]:
+    sentence: Sentence, tagged, rules: ConjugationRuleSet
+) -> tuple[list[tuple[FaultKind, int, str, str]], list[str]]:
     """Check every verb of a disambiguated sentence against the agreement table.
 
     Must only be called when the chosen structure contains a verb. Returns
-    the conjugation faults plus configuration warnings for any resolved
-    (key, tense) pair the rule set does not cover.
+    the conjugation faults, as (kind, verb ordinal, message, rule id) in the
+    form of `SentenceVerdict.faults`, plus configuration warnings for any
+    resolved (key, tense) pair the rule set does not cover.
     """
     chosen = {t.token.ordinal: t.analysis for t in tagged if t.analysis is not None}
     verbs = [
@@ -363,17 +353,17 @@ def check_conjugation(
     if not verbs:
         raise ValueError("conjugation check on a sentence with no chosen verb")
 
-    faults: list[Fault] = []
+    faults = []
     warnings: list[str] = []
     tokens = sentence.tokens
     for verb in verbs:
         ordinal = verb.token.ordinal
         previous = tokens[ordinal - 1].surface if ordinal > 0 else None
-        tense = TENSE_NEGATION if previous in negation_particles else TENSE_SIMPLE
+        tense = TENSE_NEGATION if previous in NEGATION_PARTICLES else TENSE_SIMPLE
 
         key = None
         i = ordinal - 1
-        while i >= 0 and tokens[i].surface in negation_particles:
+        while i >= 0 and tokens[i].surface in NEGATION_PARTICLES:
             i -= 1
         if i >= 0:
             analysis = chosen.get(i)
@@ -404,16 +394,9 @@ def check_conjugation(
             wanted.append(f"prebase {rule.prebase or '(none)'}")
         if not postbase_ok:
             wanted.append(f"postbase {rule.postbase or '(none)'}")
-        faults.append(
-            Fault(
-                kind=FaultKind.CONJUGATION,
-                sentence_index=sentence.index,
-                spans=(verb.token.span,),
-                message=(
-                    f"verb {verb.token.surface} does not agree with {key} "
-                    f"({tense}): expected {', '.join(wanted)}"
-                ),
-                rule_id=rule.id,
-            )
+        message = (
+            f"verb {verb.token.surface} does not agree with {key} "
+            f"({tense}): expected {', '.join(wanted)}"
         )
+        faults.append((FaultKind.CONJUGATION, ordinal, message, rule.id))
     return faults, warnings

@@ -20,11 +20,3 @@ class RuleLoadError(ArabicLintError):
 class CorpusError(ArabicLintError):
     """An annotated corpus file could not be parsed."""
 
-
-class TaggingContractError(ArabicLintError):
-    """A word reached the labelling phase without any lexicon analysis.
-
-    Unknown words must be filtered out (and reported as spelling faults)
-    before labelling; hitting this error means the pipeline ordering is
-    broken, not that the input is bad.
-    """

@@ -19,12 +19,12 @@ the precision sets, but their verdict mismatches do not fail strict mode.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import Engine, FaultKind
 from .errors import CorpusError
+from .lexicon import _read_text
 from .segmentation import normalize, split_sentences
 
 EXCLUSION_FLAG = "excluded-from-strict"
@@ -106,21 +106,8 @@ def detection_precision(sets: EvalSets) -> PrecisionResult:
 
 
 def load_corpus(source) -> list[GoldAnnotation]:
-    """Parse a JSONL corpus; errors name the offending line."""
-    looks_like_content = isinstance(source, str) and (
-        source.lstrip().startswith("{") or "\n" in source or not source.strip()
-    )
-    if isinstance(source, (str, os.PathLike)) and not looks_like_content:
-        try:
-            with open(source, encoding="utf-8") as handle:
-                content = handle.read()
-        except OSError as exc:
-            raise CorpusError(f"cannot read {source!r}: {exc}") from exc
-    elif hasattr(source, "read"):
-        content = source.read()
-    else:
-        content = source
-
+    """Parse a JSONL corpus from a path or an open file; errors name the line."""
+    content = _read_text(source, CorpusError)
     entries: list[GoldAnnotation] = []
     for lineno, raw in enumerate(content.splitlines(), start=1):
         line = raw.strip()

@@ -26,7 +26,6 @@ affixes; during analysis they are pooled with the ordinary ones).
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -125,24 +124,28 @@ class AffixInventory:
         return self.suffixes | self.verb_postbases
 
 
+# Every loader takes its source the same way: a str or os.PathLike is a
+# path, and anything else is an open file holding the content.
 def _parse_xml(source, error_cls):
-    """Parse a path, file object or literal XML string into an element tree."""
+    """Root element of the XML document at a path or in an open file."""
     try:
-        if isinstance(source, (str, os.PathLike)):
-            text = str(source)
-            if isinstance(source, str) and text.lstrip().startswith("<"):
-                return ET.fromstring(text)
-            return ET.parse(source).getroot()
-        if isinstance(source, io.IOBase) or hasattr(source, "read"):
-            return ET.parse(source).getroot()
-        if isinstance(source, ET.Element):
-            return source
+        return ET.parse(source).getroot()
     except ET.ParseError as exc:
         line, column = exc.position
         raise error_cls(f"malformed XML at line {line}, column {column}: {exc.msg}") from exc
     except OSError as exc:
         raise error_cls(f"cannot read {source!r}: {exc}") from exc
-    raise error_cls(f"unsupported XML source: {type(source).__name__}")
+
+
+def _read_text(source, error_cls) -> str:
+    """Content of the UTF-8 text file at a path or in an open file."""
+    if not isinstance(source, (str, os.PathLike)):
+        return source.read()
+    try:
+        with open(source, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise error_cls(f"cannot read {source!r}: {exc}") from exc
 
 
 def load_lexicon(source, options: NormalizationOptions | None = None) -> Lexicon:
@@ -202,18 +205,7 @@ def load_lexicon(source, options: NormalizationOptions | None = None) -> Lexicon
 def load_affixes(source, options: NormalizationOptions | None = None) -> AffixInventory:
     """Load the affix inventory from a key = value text file."""
     opts = options or NormalizationOptions()
-    if isinstance(source, (str, os.PathLike)) and (
-        not isinstance(source, str) or "=" not in source
-    ):
-        try:
-            with open(source, encoding="utf-8") as handle:
-                content = handle.read()
-        except OSError as exc:
-            raise AffixLoadError(f"cannot read {source!r}: {exc}") from exc
-    elif hasattr(source, "read"):
-        content = source.read()
-    else:
-        content = source
+    content = _read_text(source, AffixLoadError)
 
     groups: dict[str, frozenset[str]] = {}
     known = {"prefixes", "suffixes", "verb_prebases", "verb_postbases"}

@@ -97,15 +97,6 @@ class MatchOutcome:
 
 _VACUOUS = MatchOutcome(matched=True, rule_id=None)
 _UNMATCHED = MatchOutcome(matched=False, rule_id=None)
-_RULE_OUTCOMES: dict[str, MatchOutcome] = {}
-
-
-def _outcome_for(rule_id: str) -> MatchOutcome:
-    outcome = _RULE_OUTCOMES.get(rule_id)
-    if outcome is None:
-        outcome = MatchOutcome(matched=True, rule_id=rule_id)
-        _RULE_OUTCOMES[rule_id] = outcome
-    return outcome
 
 
 @dataclass(frozen=True)
@@ -180,14 +171,12 @@ def load_structure_rules(source, known_categories) -> list[StructureRule]:
     return rules
 
 
-def match_structure(labels, rules) -> MatchOutcome:
+def match_structure(labels: tuple[str, ...], rules) -> MatchOutcome:
     """First rule whose pattern prefixes (or exactly equals) the labels.
 
     An empty label sequence matches vacuously: there is nothing left to
-    constrain once function words are set aside. Accepts either a bare
-    label sequence or anything with a `labels` attribute.
+    constrain once function words are set aside.
     """
-    labels = tuple(getattr(labels, "labels", labels))
     if not labels:
         return _VACUOUS
     width = len(labels)
@@ -195,9 +184,9 @@ def match_structure(labels, rules) -> MatchOutcome:
         pattern = rule.pattern
         if rule.exact:
             if labels == pattern:
-                return _outcome_for(rule.id)
+                return MatchOutcome.for_rule(rule.id)
         elif len(pattern) <= width and labels[: len(pattern)] == pattern:
-            return _outcome_for(rule.id)
+            return MatchOutcome.for_rule(rule.id)
     return _UNMATCHED
 
 

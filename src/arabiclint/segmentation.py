@@ -75,7 +75,6 @@ class Token:
 
     surface: str
     span: tuple[int, int]
-    sentence_index: int
     ordinal: int
 
 
@@ -95,7 +94,7 @@ class Sentence:
         cls, nt: NormalizedText, index: int, words, terminator: str | None = None
     ) -> Sentence:
         """Build a sentence from its word matches in `nt.normalized`."""
-        tokens = tuple(_tokens(nt, words, index))
+        tokens = tuple(_tokens(nt, words))
         return cls(index=index, tokens=tokens, terminator=terminator)
 
 
@@ -183,34 +182,22 @@ _WORD_GROUP = 1
 _TERMINATOR_GROUP = 3
 
 
-def tokenize(
-    nt: NormalizedText,
-    start: int = 0,
-    end: int | None = None,
-    sentence_index: int = 0,
-) -> list[Token]:
-    """Split a normalized segment into tokens with original-text spans.
+def tokenize(nt: NormalizedText) -> list[Token]:
+    """Split normalized text into tokens with original-text spans.
 
-    The segment must contain no sentence terminators (guaranteed when it
-    comes from `split_sentences`). Punctuation separates tokens and is
-    dropped; Latin letters and digits form opaque tokens of their own.
+    Punctuation separates tokens and is dropped; Latin letters and digits
+    form opaque tokens of their own.
     """
-    text = nt.normalized
-    if end is None:
-        end = len(text)
-    words = [
-        m for m in _SCAN_RE.finditer(text, start, end) if m.lastindex == _WORD_GROUP
-    ]
-    return _tokens(nt, words, sentence_index)
+    words = [m for m in _SCAN_RE.finditer(nt.normalized) if m.lastindex == _WORD_GROUP]
+    return _tokens(nt, words)
 
 
-def _tokens(nt: NormalizedText, words, sentence_index: int) -> list[Token]:
+def _tokens(nt: NormalizedText, words) -> list[Token]:
     offset_map = nt.offset_map
     return [
         Token(
             surface=m.group(),
             span=(offset_map[m.start()], offset_map[m.end() - 1] + 1),
-            sentence_index=sentence_index,
             ordinal=ordinal,
         )
         for ordinal, m in enumerate(words)

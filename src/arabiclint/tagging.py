@@ -1,22 +1,22 @@
-"""Labelling and disambiguation.
+"""Disambiguation of labelled words against the structure rules.
 
-Labelling attaches every lexicon analysis a word admits; disambiguation
-then picks one candidate per word so that the label sequence satisfies a
-structure rule, choosing the lexicographically first such assignment over
-candidate indices. It finds it by a depth-first search that keeps only the
-rules whose pattern still equals the labels chosen so far, so its depth is
-bounded by the longest pattern, not by the sentence length. Tokens whose
-candidates are all function-word categories (particles and prepositions)
-are set aside before matching, since rules describe the content-word
-skeleton of a sentence.
+Labelling, which attaches every lexicon analysis a known word admits, lives
+in `Engine.analyze_sentence`, on top of the engine's per-surface analysis
+cache. Disambiguation then picks one candidate per word so that the label
+sequence satisfies a structure rule, choosing the lexicographically first
+such assignment over candidate indices. It finds it by a depth-first search
+that keeps only the rules whose pattern still equals the labels chosen so
+far, so its depth is bounded by the longest pattern, not by the sentence
+length. Tokens whose candidates are all function-word categories (particles
+and prepositions) are set aside before matching, since rules describe the
+content-word skeleton of a sentence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TaggingContractError
-from .lexicon import AffixInventory, Lexicon, MorphAnalysis, analyze_word
+from .lexicon import MorphAnalysis
 from .rules import MatchOutcome, match_structure
 from .segmentation import Token
 
@@ -52,30 +52,7 @@ class SentenceStructure:
     skipped: tuple[int, ...] = ()
 
 
-def tag_sentence(
-    tokens, lexicon: Lexicon, affixes: AffixInventory
-) -> list[TaggedToken]:
-    """Attach all candidate analyses to each token; chosen stays unset.
-
-    Every token must already have passed the spelling check: a word with
-    no analysis here is a pipeline ordering bug, not an input error.
-    """
-    tagged = []
-    for token in tokens:
-        candidates = analyze_word(token.surface, lexicon, affixes)
-        if not candidates:
-            raise TaggingContractError(
-                f"word {token.surface!r} reached labelling with no analysis"
-            )
-        tagged.append(TaggedToken(token=token, candidates=candidates))
-    return tagged
-
-
-def disambiguate(
-    tagged,
-    rules,
-    skip_categories=DEFAULT_SKIP_CATEGORIES,
-) -> tuple[SentenceStructure, MatchOutcome]:
+def disambiguate(tagged, rules) -> tuple[SentenceStructure, MatchOutcome]:
     """Choose one analysis per token so the label sequence satisfies a rule.
 
     The winner is the first matching assignment in lexicographic order over
@@ -96,7 +73,7 @@ def disambiguate(
     unambiguous = True
     for t in tagged:
         candidates = t.candidates
-        if all(c.category.name in skip_categories for c in candidates):
+        if all(c.category.name in DEFAULT_SKIP_CATEGORIES for c in candidates):
             t.chosen = 0
             skipped_ordinals.append(t.token.ordinal)
         else:

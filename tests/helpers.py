@@ -180,15 +180,23 @@ def oracle_precision(d_plus, detected):
     return len(set(d_plus) & set(detected)) / len(detected)
 
 
-def make_token(ordinal, surface=None, sentence_index=0):
+def make_token(ordinal, surface=None):
     surface = surface or f"w{ordinal}"
     start = ordinal * 10
-    return Token(
-        surface=surface,
-        span=(start, start + len(surface)),
-        sentence_index=sentence_index,
-        ordinal=ordinal,
-    )
+    return Token(surface=surface, span=(start, start + len(surface)), ordinal=ordinal)
+
+
+def tag_known_words(engine, tokens):
+    """TaggedTokens of the known words among `tokens`, labelled as the engine does.
+
+    Each known word gets every analysis from `engine.analyses`, the cache
+    `Engine.analyze_sentence` labels from; unknown words are left out.
+    """
+    return [
+        TaggedToken(token=token, candidates=candidates)
+        for token in tokens
+        if (candidates := engine.analyses(token.surface))
+    ]
 
 
 def synthetic_tagged(ordinal, category_names):

@@ -145,6 +145,35 @@ class TestCheck:
         path = write(tmp_path, "in.txt", "ذهب")
         assert main(["check", path]) == 2
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("fold-hamza = maybe", "fold-hamza"),
+            ("format = xml", "format"),
+            ("color = bogus", "color"),
+        ],
+    )
+    def test_bad_env_config_value_exits_two(self, tmp_path, capsys, monkeypatch, line, key):
+        # Checked as the equivalent flag would be: a usage error naming the key.
+        monkeypatch.setenv("ARABICLINT_CONFIG", write(tmp_path, "cfg", line + "\n"))
+        path = write(tmp_path, "in.txt", "تذهب إيمان")
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and key in captured.err
+
+    def test_affixes_path_with_equals_sign(self, tmp_path, capsys, clean_env):
+        # A path is a path even when it contains the key = value separator.
+        directory = tmp_path / "a=b"
+        directory.mkdir()
+        affixes = directory / "affixes.txt"
+        affixes.write_bytes(data_path("affixes.txt").read_bytes())
+        path = write(tmp_path, "in.txt", "و يبحث في أصول تكوين الجمّة وقواعد")
+        bundled_code = main(["check", path])
+        bundled = capsys.readouterr()
+        assert main(["check", path, "--affixes", str(affixes)]) == bundled_code == 1
+        assert capsys.readouterr() == bundled
+
     def test_lexicon_warnings_reach_the_check_report(self, tmp_path, capsys, clean_env):
         lexicon = write(
             tmp_path,

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import random
@@ -16,7 +17,9 @@ from arabiclint import (
 )
 from arabiclint.render import render_json
 from arabiclint.rules import StructureRule
-from arabiclint.tagging import TaggedToken, disambiguate
+from arabiclint.tagging import disambiguate
+
+from helpers import oracle_any_assignment_matches, tag_known_words
 
 TABLE_TEXTS = [
     "يبحث في أصول تكوين الجملة وقواعد الإعراب",
@@ -285,10 +288,8 @@ class TestAnalysisCache:
 class TestConjugationGuard:
     def test_check_conjugation_requires_a_verb(self, engine):
         sentence = split_sentences(normalize("في المكان"))[0]
-        tagged = [
-            TaggedToken(token=t, candidates=engine.analyses(t.surface))
-            for t in sentence.tokens
-        ]
+        tagged = tag_known_words(engine, sentence.tokens)
+        assert len(tagged) == len(sentence.tokens)
         disambiguate(tagged, engine.structure_rules)
         with pytest.raises(ValueError, match="no chosen verb"):
             check_conjugation(sentence, tagged, engine.conjugation_rules)
@@ -309,9 +310,11 @@ class TestConjugationGuard:
 
     def test_missing_rule_is_a_warning_not_a_fault(self, engine):
         tiny_rules = load_conjugation_rules(
-            '<PronomPersonnel valeur="أنتم">'
-            "<PresentSimple><prebase>ت</prebase><PostBase>ون</PostBase></PresentSimple>"
-            "</PronomPersonnel>"
+            io.StringIO(
+                '<PronomPersonnel valeur="أنتم">'
+                "<PresentSimple><prebase>ت</prebase><PostBase>ون</PostBase></PresentSimple>"
+                "</PronomPersonnel>"
+            )
         )
         partial = Engine(
             engine.lexicon,
@@ -331,18 +334,10 @@ class TestStructureFaultCondition:
         # Brute-force agreement: for every corpus sentence, a structure
         # fault appears exactly when no candidate assignment over the known
         # words matches any rule and some non-skipped word remains.
-        from arabiclint.tagging import TaggedToken
-
-        from helpers import oracle_any_assignment_matches
-
         for text in TABLE_TEXTS:
             nt = normalize(text)
             for sentence in split_sentences(nt):
-                tagged = [
-                    TaggedToken(token=t, candidates=engine.analyses(t.surface))
-                    for t in sentence.tokens
-                    if engine.analyses(t.surface)
-                ]
+                tagged = tag_known_words(engine, sentence.tokens)
                 matchable = oracle_any_assignment_matches(
                     tagged, engine.structure_rules
                 )

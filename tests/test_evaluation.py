@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 
@@ -76,23 +77,32 @@ class TestLoadCorpus:
 
     def test_parse_error_names_the_line(self):
         with pytest.raises(CorpusError, match="line 2"):
-            load_corpus('{"text": "ذهب", "gold": []}\n{broken')
+            load_corpus(io.StringIO('{"text": "ذهب", "gold": []}\n{broken'))
 
     def test_bad_gold_item_is_an_error(self):
         with pytest.raises(CorpusError, match="line 1"):
-            load_corpus('{"text": "ذهب", "gold": [{"kind": "typo", "ordinal": 0}]}')
+            load_corpus(
+                io.StringIO('{"text": "ذهب", "gold": [{"kind": "typo", "ordinal": 0}]}')
+            )
 
     def test_missing_text_is_an_error(self):
         with pytest.raises(CorpusError, match="text"):
-            load_corpus('{"gold": []}')
+            load_corpus(io.StringIO('{"gold": []}'))
 
     def test_empty_corpus_is_an_error(self):
         with pytest.raises(CorpusError, match="empty"):
-            load_corpus("\n\n")
+            load_corpus(io.StringIO("\n\n"))
 
     def test_missing_file_is_an_error(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read"):
             load_corpus(tmp_path / "missing.jsonl")
+
+    def test_relative_path_starting_with_a_brace_is_read_as_a_path(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "{x}.jsonl").write_text('{"text": "ذهب"}\n', encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert load_corpus("{x}.jsonl") == [GoldAnnotation(text="ذهب")]
 
 
 class TestRunCorpus:

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from arabiclint import (
     SpellingVerdict,
     analyze_word,
     check_spelling,
+    data_path,
     load_affixes,
     load_lexicon,
     normalize,
@@ -35,19 +37,19 @@ PROPER_NOUNS_XML = """
 
 class TestLoadLexicon:
     def test_three_feminine_proper_nouns(self):
-        lexicon = load_lexicon(PROPER_NOUNS_XML)
+        lexicon = load_lexicon(io.StringIO(PROPER_NOUNS_XML))
         assert len(lexicon) == 3
         assert {e.category.name for e in lexicon.entries} == {"NomPropreFeminin"}
         assert {e.base for e in lexicon.entries} == {"اسماء", "امل", "ايمان"}
 
     def test_ancestry_mirrors_nesting(self):
-        lexicon = load_lexicon(PROPER_NOUNS_XML)
+        lexicon = load_lexicon(io.StringIO(PROPER_NOUNS_XML))
         (category,) = lexicon.categories
         assert category.ancestry == ("Noms", "NomsPropres", "NomsPropresFeminins")
 
     def test_duplicate_entry_collapses_with_warning(self):
         xml = "<MOTS><Verbes><Verbe>ذهب</Verbe><Verbe>ذهب</Verbe></Verbes></MOTS>"
-        lexicon = load_lexicon(xml)
+        lexicon = load_lexicon(io.StringIO(xml))
         assert len(lexicon) == 1
         assert len(lexicon.warnings) == 1
         assert "ذهب" in lexicon.warnings[0]
@@ -57,33 +59,39 @@ class TestLoadLexicon:
             "<MOTS><Verbes><Verbe>أكرم</Verbe></Verbes>"
             "<Noms><NomPropreMasculin>أكرم</NomPropreMasculin></Noms></MOTS>"
         )
-        lexicon = load_lexicon(xml)
+        lexicon = load_lexicon(io.StringIO(xml))
         assert len(lexicon) == 2
         assert len(lexicon.lookup_base("اكرم")) == 2
+        # Both readings are candidates, in lexicon file order.
+        affixes = load_affixes(io.StringIO("prefixes =\nsuffixes ="))
+        assert [a.category.name for a in analyze_word("اكرم", lexicon, affixes)] == [
+            "Verbe",
+            "NomPropreMasculin",
+        ]
 
     def test_empty_document_is_an_error(self):
         with pytest.raises(LexiconLoadError, match="empty lexicon"):
-            load_lexicon("<MOTS></MOTS>")
+            load_lexicon(io.StringIO("<MOTS></MOTS>"))
 
     def test_multiple_words_in_a_leaf_is_an_error(self):
         xml = "<MOTS><Verbes><Verbe>ذهب كتب</Verbe></Verbes></MOTS>"
         with pytest.raises(LexiconLoadError, match="Verbe"):
-            load_lexicon(xml)
+            load_lexicon(io.StringIO(xml))
 
     def test_malformed_xml_reports_the_line(self):
         with pytest.raises(LexiconLoadError, match="line"):
-            load_lexicon("<MOTS>\n<oops\n</MOTS>")
+            load_lexicon(io.StringIO("<MOTS>\n<oops\n</MOTS>"))
 
     def test_category_under_two_groupings_is_an_error(self):
         xml = (
             "<MOTS><A><Verbe>ذهب</Verbe></A><B><Verbe>كتب</Verbe></B></MOTS>"
         )
         with pytest.raises(LexiconLoadError, match="grouping"):
-            load_lexicon(xml)
+            load_lexicon(io.StringIO(xml))
 
     def test_entries_are_normalized(self):
         xml = "<MOTS><Verbes><Verbe>أَخَذَ</Verbe></Verbes></MOTS>"
-        lexicon = load_lexicon(xml)
+        lexicon = load_lexicon(io.StringIO(xml))
         assert lexicon.entries[0].base == "اخذ"
 
     def test_missing_file_is_a_load_error(self, tmp_path):
@@ -100,23 +108,31 @@ class TestLoadAffixes:
 
     def test_unknown_key_is_an_error(self):
         with pytest.raises(AffixLoadError, match="unknown key"):
-            load_affixes("stems = ا ب")
+            load_affixes(io.StringIO("stems = ا ب"))
 
     def test_duplicate_key_is_an_error(self):
         with pytest.raises(AffixLoadError, match="twice"):
-            load_affixes("prefixes = و\nprefixes = ف\nsuffixes = ة")
+            load_affixes(io.StringIO("prefixes = و\nprefixes = ف\nsuffixes = ة"))
 
     def test_missing_required_key_is_an_error(self):
         with pytest.raises(AffixLoadError, match="prefixes"):
-            load_affixes("suffixes = ة")
+            load_affixes(io.StringIO("suffixes = ة"))
 
     def test_terminator_in_affix_is_an_error(self):
         with pytest.raises(AffixLoadError, match="terminator"):
-            load_affixes("prefixes = و.\nsuffixes = ة")
+            load_affixes(io.StringIO("prefixes = و.\nsuffixes = ة"))
 
     def test_comments_and_blank_lines_ignored(self):
-        inventory = load_affixes("# c\n\nprefixes = و # tail\nsuffixes = ة\n")
+        inventory = load_affixes(io.StringIO("# c\n\nprefixes = و # tail\nsuffixes = ة\n"))
         assert inventory.prefixes == frozenset({"", "و"})
+
+    def test_path_with_equals_sign_is_read_as_a_path(self, tmp_path, affixes):
+        directory = tmp_path / "a=b"
+        directory.mkdir()
+        path = directory / "affixes.txt"
+        path.write_bytes(data_path("affixes.txt").read_bytes())
+        assert load_affixes(str(path)) == affixes
+        assert load_affixes(path) == affixes
 
     def test_empty_affix_always_available(self):
         inventory = AffixInventory(
@@ -127,16 +143,19 @@ class TestLoadAffixes:
 
 class TestAnalyzeWord:
     def test_verb_with_prebase_and_postbase(self, lexicon, affixes):
-        analyses = analyze_word("تذهبون", lexicon, affixes)
-        assert [(a.prefix, a.base, a.suffix, a.category.name) for a in analyses] == [
-            ("ت", "ذهب", "ون", "Verbe")
-        ]
+        for word, suffix in (("تذهبون", "ون"), ("تذهب", "")):
+            analyses = analyze_word(word, lexicon, affixes)
+            assert [(a.prefix, a.base, a.suffix, a.category.name) for a in analyses] == [
+                ("ت", "ذهب", suffix, "Verbe")
+            ], word
 
     def test_bare_proper_noun(self, lexicon, affixes):
-        analyses = analyze_word(normalize("أمل").normalized, lexicon, affixes)
-        assert [(a.prefix, a.base, a.suffix, a.category.name) for a in analyses] == [
-            ("", "امل", "", "NomPropreFeminin")
-        ]
+        for raw in ("أمل", "إيمان"):
+            word = normalize(raw).normalized
+            analyses = analyze_word(word, lexicon, affixes)
+            assert [(a.prefix, a.base, a.suffix, a.category.name) for a in analyses] == [
+                ("", word, "", "NomPropreFeminin")
+            ], raw
 
     def test_conjunction_prefix_on_plural(self, lexicon, affixes):
         word = normalize("وقواعد").normalized
@@ -234,13 +253,15 @@ class TestCheckSpelling:
             "<NomPluriel>قواعد</NomPluriel>",
             "<PronomPersonnel>هم</PronomPersonnel>",
         ]
-        affixes = load_affixes("prefixes = و ال\nsuffixes = ة ون\nverb_prebases = ي ت")
+        affixes = load_affixes(
+            io.StringIO("prefixes = و ال\nsuffixes = ة ون\nverb_prebases = ي ت")
+        )
         words = ["يذهب", "الجملة", "وقواعد", "هم", "تذهبون", "غريب"]
         verdicts = []
         rng = random.Random(3)
         for _ in range(6):
             rng.shuffle(entries)
-            lexicon = load_lexicon(f"<MOTS><G>{''.join(entries)}</G></MOTS>")
+            lexicon = load_lexicon(io.StringIO(f"<MOTS><G>{''.join(entries)}</G></MOTS>"))
             verdicts.append(
                 tuple(check_spelling(w, lexicon, affixes) for w in words)
             )

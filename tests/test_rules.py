@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from arabiclint import (
@@ -48,13 +50,13 @@ PRONOUN_TABLE_XML = """
 
 class TestLoadStructureRules:
     def test_five_rules_three_verbal_two_nominal(self):
-        rules = load_structure_rules(FIVE_RULES_XML, KNOWN)
+        rules = load_structure_rules(io.StringIO(FIVE_RULES_XML), KNOWN)
         assert len(rules) == 5
         assert sum(1 for r in rules if r.kind == "Verbal") == 3
         assert sum(1 for r in rules if r.kind == "Nominal") == 2
 
     def test_trailing_space_trimmed_and_verbe_resolved(self):
-        rules = load_structure_rules(FIVE_RULES_XML, KNOWN)
+        rules = load_structure_rules(io.StringIO(FIVE_RULES_XML), KNOWN)
         first = rules[0]
         assert first.id == "verbe NomPropreFeminin"
         assert first.pattern == ("Verbe", "NomPropreFeminin")
@@ -67,19 +69,19 @@ class TestLoadStructureRules:
             "</ReglesPhrasesNominales></ReglesApplicables>"
         )
         with pytest.raises(RuleLoadError) as excinfo:
-            load_structure_rules(xml, KNOWN)
+            load_structure_rules(io.StringIO(xml), KNOWN)
         assert "Adjectif" in str(excinfo.value)
         assert "Adjectif verbe" in str(excinfo.value)
 
     def test_empty_rule_set_is_an_error(self):
         xml = "<ReglesApplicables><ReglesPhrasesVerbales></ReglesPhrasesVerbales></ReglesApplicables>"
         with pytest.raises(RuleLoadError, match="empty"):
-            load_structure_rules(xml, KNOWN)
+            load_structure_rules(io.StringIO(xml), KNOWN)
 
     def test_unknown_family_is_an_error(self):
         xml = "<ReglesApplicables><Autres><regle>verbe</regle></Autres></ReglesApplicables>"
         with pytest.raises(RuleLoadError, match="Autres"):
-            load_structure_rules(xml, KNOWN)
+            load_structure_rules(io.StringIO(xml), KNOWN)
 
     def test_exact_mode_attribute(self):
         xml = (
@@ -87,7 +89,7 @@ class TestLoadStructureRules:
             '<regle mode="exact">verbe NomPluriel</regle>'
             "</ReglesPhrasesVerbales></ReglesApplicables>"
         )
-        (rule,) = load_structure_rules(xml, KNOWN)
+        (rule,) = load_structure_rules(io.StringIO(xml), KNOWN)
         assert rule.exact is True
 
     def test_unknown_mode_is_an_error(self):
@@ -97,26 +99,26 @@ class TestLoadStructureRules:
             "</ReglesPhrasesVerbales></ReglesApplicables>"
         )
         with pytest.raises(RuleLoadError, match="fuzzy"):
-            load_structure_rules(xml, KNOWN)
+            load_structure_rules(io.StringIO(xml), KNOWN)
 
     def test_wrong_root_is_an_error(self):
         with pytest.raises(RuleLoadError, match="ReglesApplicables"):
-            load_structure_rules("<Regles></Regles>", KNOWN)
+            load_structure_rules(io.StringIO("<Regles></Regles>"), KNOWN)
 
 
 class TestMatchStructure:
     def test_exact_pair_matches(self):
-        rules = load_structure_rules(FIVE_RULES_XML, KNOWN)
+        rules = load_structure_rules(io.StringIO(FIVE_RULES_XML), KNOWN)
         outcome = match_structure(("Verbe", "NomPropreFeminin"), rules)
         assert outcome == MatchOutcome.for_rule("verbe NomPropreFeminin")
 
     def test_empty_labels_match_vacuously(self):
-        rules = load_structure_rules(FIVE_RULES_XML, KNOWN)
+        rules = load_structure_rules(io.StringIO(FIVE_RULES_XML), KNOWN)
         outcome = match_structure((), rules)
         assert outcome.matched and outcome.rule_id is None
 
     def test_prefix_semantics(self):
-        rules = load_structure_rules(FIVE_RULES_XML, KNOWN)
+        rules = load_structure_rules(io.StringIO(FIVE_RULES_XML), KNOWN)
         longer = ("Verbe", "NomPluriel", "NomCommun", "NomCommun")
         assert match_structure(longer, rules) == MatchOutcome.for_rule("verbe NomPluriel")
 
@@ -128,7 +130,7 @@ class TestMatchStructure:
         assert not match_structure(("Verbe", "NomPluriel", "NomCommun"), [rule]).matched
 
     def test_unmatched(self):
-        rules = load_structure_rules(FIVE_RULES_XML, KNOWN)
+        rules = load_structure_rules(io.StringIO(FIVE_RULES_XML), KNOWN)
         assert match_structure(("NomCommun",), rules) == MatchOutcome.unmatched()
 
     def test_first_matching_rule_wins(self):
@@ -138,17 +140,10 @@ class TestMatchStructure:
         ]
         assert match_structure(("Verbe", "NomCommun"), rules).rule_id == "a"
 
-    def test_accepts_a_sentence_structure(self):
-        from arabiclint import SentenceStructure
-
-        rules = load_structure_rules(FIVE_RULES_XML, KNOWN)
-        structure = SentenceStructure(labels=("Verbe", "NomPluriel"), skipped=(1,))
-        assert match_structure(structure, rules).rule_id == "verbe NomPluriel"
-
 
 class TestLoadConjugationRules:
     def test_pronoun_entry_yields_two_rules(self):
-        rules = load_conjugation_rules(PRONOUN_TABLE_XML)
+        rules = load_conjugation_rules(io.StringIO(PRONOUN_TABLE_XML))
         assert len(rules) == 2
         simple = rules.lookup("انتم", "PresentSimple")
         negation = rules.lookup("انتم", "PresentNegation")
@@ -157,7 +152,7 @@ class TestLoadConjugationRules:
         assert simple.agreement == "pronoun"
 
     def test_keys_are_normalized(self):
-        rules = load_conjugation_rules(PRONOUN_TABLE_XML)
+        rules = load_conjugation_rules(io.StringIO(PRONOUN_TABLE_XML))
         assert rules.lookup("أنتم", "PresentSimple") is None
         assert rules.lookup("انتم", "PresentSimple") is not None
 
@@ -169,7 +164,7 @@ class TestLoadConjugationRules:
             "</PronomPersonnel>"
         )
         with pytest.raises(RuleLoadError, match="duplicate"):
-            load_conjugation_rules(xml)
+            load_conjugation_rules(io.StringIO(xml))
 
     def test_missing_postbase_is_an_error(self):
         xml = (
@@ -178,7 +173,7 @@ class TestLoadConjugationRules:
             "</PronomPersonnel>"
         )
         with pytest.raises(RuleLoadError, match="PostBase"):
-            load_conjugation_rules(xml)
+            load_conjugation_rules(io.StringIO(xml))
 
     def test_feature_extension_entry(self):
         xml = (
@@ -186,7 +181,7 @@ class TestLoadConjugationRules:
             "<PresentSimple><prebase>ت</prebase><PostBase></PostBase></PresentSimple>"
             "</PronomPersonnel></ReglesConjugaison>"
         )
-        rules = load_conjugation_rules(xml)
+        rules = load_conjugation_rules(io.StringIO(xml))
         assert len(rules) == 1
         rule = rules.lookup("feminin-singulier", "PresentSimple")
         assert rule.agreement == "feature"
@@ -198,7 +193,8 @@ class TestLoadConjugationRules:
             "<PresentSimple><prebase>*</prebase><PostBase></PostBase></PresentSimple>"
             "</PronomPersonnel></ReglesConjugaison>"
         )
-        rule = load_conjugation_rules(xml).lookup("sans-sujet", "PresentSimple")
+        rules = load_conjugation_rules(io.StringIO(xml))
+        rule = rules.lookup("sans-sujet", "PresentSimple")
         assert rule.agreement == "no-subject"
         assert rule.prebase == "*"
 
@@ -209,16 +205,16 @@ class TestLoadConjugationRules:
             "</PronomPersonnel>"
         )
         with pytest.raises(RuleLoadError, match="Past"):
-            load_conjugation_rules(xml)
+            load_conjugation_rules(io.StringIO(xml))
 
     def test_missing_valeur_is_an_error(self):
         xml = "<PronomPersonnel><PresentSimple><prebase>ي</prebase><PostBase></PostBase></PresentSimple></PronomPersonnel>"
         with pytest.raises(RuleLoadError, match="valeur"):
-            load_conjugation_rules(xml)
+            load_conjugation_rules(io.StringIO(xml))
 
     def test_empty_table_is_an_error(self):
         with pytest.raises(RuleLoadError, match="empty"):
-            load_conjugation_rules("<ReglesConjugaison></ReglesConjugaison>")
+            load_conjugation_rules(io.StringIO("<ReglesConjugaison></ReglesConjugaison>"))
 
     def test_shipped_table_covers_the_agreement_keys(self, engine):
         rules = engine.conjugation_rules

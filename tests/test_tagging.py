@@ -1,23 +1,11 @@
 import itertools
 import time
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arabiclint.tagging as tagging_module
-from arabiclint import (
-    Engine,
-    FaultKind,
-    MatchOutcome,
-    TaggingContractError,
-    disambiguate,
-    load_affixes,
-    load_lexicon,
-    normalize,
-    tag_sentence,
-    tokenize,
-)
+from arabiclint import Engine, FaultKind, MatchOutcome, disambiguate, normalize, tokenize
 from arabiclint.rules import StructureRule
 
 from helpers import (
@@ -25,45 +13,13 @@ from helpers import (
     oracle_any_assignment_matches,
     oracle_first_assignment,
     synthetic_tagged,
+    tag_known_words,
 )
 
 
-def tokens_of(text):
-    return tokenize(normalize(text))
-
-
-class TestTagSentence:
-    def test_verb_then_proper_noun(self, lexicon, affixes):
-        tagged = tag_sentence(tokens_of("تذهب إيمان"), lexicon, affixes)
-        assert [[c.category.name for c in t.candidates] for t in tagged] == [
-            ["Verbe"],
-            ["NomPropreFeminin"],
-        ]
-        assert all(t.chosen is None for t in tagged)
-
-    def test_empty_sentence(self, lexicon, affixes):
-        assert tag_sentence([], lexicon, affixes) == []
-
-    def test_ambiguous_word_gets_two_candidates(self):
-        lexicon = load_lexicon(
-            "<MOTS><Verbes><Verbe>أكرم</Verbe></Verbes>"
-            "<Noms><NomPropreMasculin>أكرم</NomPropreMasculin></Noms></MOTS>"
-        )
-        affixes = load_affixes("prefixes =\nsuffixes =")
-        tagged = tag_sentence(tokens_of("أكرم"), lexicon, affixes)
-        assert [c.category.name for c in tagged[0].candidates] == [
-            "Verbe",
-            "NomPropreMasculin",
-        ]
-
-    def test_unknown_word_is_a_contract_violation(self, lexicon, affixes):
-        with pytest.raises(TaggingContractError, match="غريبة"):
-            tag_sentence(tokens_of("كلمةغريبة"), lexicon, affixes)
-
-
 class TestDisambiguate:
-    def test_verb_feminine_pair_matches(self, lexicon, affixes, engine):
-        tagged = tag_sentence(tokens_of("تذهب إيمان"), lexicon, affixes)
+    def test_verb_feminine_pair_matches(self, engine):
+        tagged = tag_known_words(engine, tokenize(normalize("تذهب إيمان")))
         structure, outcome = disambiguate(tagged, engine.structure_rules)
         assert structure.labels == ("Verbe", "NomPropreFeminin")
         assert outcome == MatchOutcome.for_rule("verbe NomPropreFeminin")
