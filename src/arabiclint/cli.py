@@ -71,7 +71,7 @@ def _load_env_config() -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             content = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ArabicLintError(f"cannot read {CONFIG_ENV_VAR} file: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(content.splitlines(), start=1):
@@ -256,8 +256,10 @@ def cmd_rules_validate(args) -> int:
 def cmd_lexicon_lookup(args) -> int:
     env = _load_env_config()
     config = _build_config(args, env)
+    word = normalize(args.word, config.normalization).normalized
+    if not word:
+        raise ArabicLintError(f"word {args.word!r} is empty after normalization")
     engine = Engine.from_config(config)
-    word = normalize(args.word, engine.options).normalized
     analyses = engine.analyses(word)
     verdict = SpellingVerdict.CORRECT if analyses else SpellingVerdict.UNKNOWN
     print(f"{args.word} -> {word}: {verdict.value}")

@@ -77,9 +77,31 @@ _KIND_RANK = {FaultKind.SPELLING: 0, FaultKind.STRUCTURE: 1, FaultKind.CONJUGATI
 
 
 @dataclass(frozen=True, slots=True)
+class SentenceVerdict:
+    """Everything a sentence's token surfaces decide, for a fixed engine.
+
+    Each fault is (kind, ordinal, message, rule_id): `ordinal` is the token
+    the fault points at, 0 for a structure fault on the whole sentence.
+    Faults are listed in report order. Anchoring to ordinals instead of text
+    offsets lets one verdict serve every occurrence of the same sentence.
+    """
+
+    labels: tuple[str, ...]
+    skipped: tuple[int, ...]
+    matched: bool
+    rule_id: str | None
+    faults: tuple[tuple[FaultKind, int, str, str | None], ...]
+    warnings: tuple[str, ...]
+
+
+@dataclass(frozen=True, slots=True)
 class Fault:
+    """A reported fault; `ordinal` is the document-wide ordinal of its token
+    (for a structure fault, its sentence's first token) and is not rendered."""
+
     kind: FaultKind
     sentence_index: int
+    ordinal: int
     spans: tuple[tuple[int, int], ...]
     message: str
     rule_id: str | None = None
@@ -87,14 +109,11 @@ class Fault:
 
 @dataclass(slots=True)
 class SentenceRecord:
-    """Per-sentence outcome kept in the report for rendering and evaluation."""
+    """One report sentence; every occurrence of it shares one verdict."""
 
     index: int
     span: tuple[int, int]
-    labels: tuple[str, ...]
-    skipped: tuple[int, ...]
-    matched: bool
-    rule_id: str | None
+    verdict: SentenceVerdict
 
 
 @dataclass
@@ -120,10 +139,10 @@ class Report:
                 {
                     "sentence": s.index,
                     "span": list(s.span),
-                    "labels": list(s.labels),
-                    "skipped": list(s.skipped),
-                    "matched": s.matched,
-                    "rule_id": s.rule_id,
+                    "labels": list(s.verdict.labels),
+                    "skipped": list(s.verdict.skipped),
+                    "matched": s.verdict.matched,
+                    "rule_id": s.verdict.rule_id,
                 }
                 for s in self.structures
             ],
@@ -162,24 +181,6 @@ def default_config() -> EngineConfig:
         structure_rules_path=data_path("structure_rules.xml"),
         conjugation_rules_path=data_path("conjugation_rules.xml"),
     )
-
-
-@dataclass(frozen=True, slots=True)
-class SentenceVerdict:
-    """Everything a sentence's token surfaces decide, for a fixed engine.
-
-    Each fault is (kind, ordinal, message, rule_id): `ordinal` is the token
-    the fault points at, or None for a fault on the whole sentence. Faults
-    are listed in report order. Anchoring to ordinals instead of text
-    offsets lets one verdict serve every occurrence of the same sentence.
-    """
-
-    labels: tuple[str, ...]
-    skipped: tuple[int, ...]
-    matched: bool
-    rule_id: str | None
-    faults: tuple[tuple[FaultKind, int | None, str, str | None], ...]
-    warnings: tuple[str, ...]
 
 
 class Engine:
@@ -244,7 +245,7 @@ class Engine:
 
         if not outcome.matched and structure.labels:
             faults.append(
-                (FaultKind.STRUCTURE, None, "sentence structure matches no rule", None)
+                (FaultKind.STRUCTURE, 0, "sentence structure matches no rule", None)
             )
 
         warnings = ()
@@ -257,7 +258,7 @@ class Engine:
 
         # A whole-sentence fault starts where token 0 does; a spelling fault
         # there ranks first, as in the document-wide order.
-        faults.sort(key=lambda f: (f[1] or 0, _KIND_RANK[f[0]]))
+        faults.sort(key=lambda f: (f[1], _KIND_RANK[f[0]]))
         return SentenceVerdict(
             labels=structure.labels,
             skipped=structure.skipped,
@@ -281,16 +282,19 @@ class Engine:
         if parallel:
             sentences = list(sentences)
             size = max(1, -(-len(sentences) // (os.cpu_count() or 1)))
-            chunks = [
-                (start, sentences[start : start + size])
-                for start in range(0, len(sentences), size)
-            ]
+            # Each chunk starts from the index and token count of the
+            # sentences before it.
+            chunks, tokens = [], 0
+            for start in range(0, len(sentences), size):
+                chunk = sentences[start : start + size]
+                chunks.append((start, tokens, chunk))
+                tokens += sum(len(words) for words, _ in chunk)
             with ThreadPoolExecutor(max_workers=max(1, len(chunks))) as executor:
                 parts = list(
                     executor.map(lambda chunk: self._analyze_sentences(nt, *chunk), chunks)
                 )
         else:
-            parts = [self._analyze_sentences(nt, 0, sentences)]
+            parts = [self._analyze_sentences(nt, 0, 0, sentences)]
 
         report = Report(warnings=list(self.lexicon.warnings))
         for faults, records, warnings in parts:
@@ -301,11 +305,12 @@ class Engine:
         report.stats = {kind.value: stats[kind] for kind in FaultKind}
         return report
 
-    def _analyze_sentences(self, nt, first_index: int, sentences):
+    def _analyze_sentences(self, nt, first_index: int, first_token: int, sentences):
         """Faults, records and warnings of consecutive scanned sentences.
 
         Each distinct tuple of token surfaces is decided once; every
-        occurrence then gets that verdict with its own spans and index.
+        occurrence then gets that verdict with its own spans, index and
+        token ordinals, counted on from `first_token`.
         """
         verdicts: dict[tuple[str, ...], SentenceVerdict] = {}
         faults: list[Fault] = []
@@ -320,19 +325,15 @@ class Engine:
                 verdict = verdicts[surfaces] = self.analyze_sentence(sentence)
             span = span_of(words[0].start(), words[-1].end())
             for kind, ordinal, message, rule_id in verdict.faults:
-                fault_span = span if ordinal is None else span_of(*words[ordinal].span())
-                faults.append(Fault(kind, index, (fault_span,), message, rule_id))
-            records.append(
-                SentenceRecord(
-                    index=index,
-                    span=span,
-                    labels=verdict.labels,
-                    skipped=verdict.skipped,
-                    matched=verdict.matched,
-                    rule_id=verdict.rule_id,
+                fault_span = (
+                    span if kind is FaultKind.STRUCTURE else span_of(*words[ordinal].span())
                 )
-            )
+                faults.append(
+                    Fault(kind, index, first_token + ordinal, (fault_span,), message, rule_id)
+                )
+            records.append(SentenceRecord(index, span, verdict))
             warnings.extend(verdict.warnings)
+            first_token += len(words)
         return faults, records, warnings
 
 

@@ -4,12 +4,12 @@ A corpus is a JSONL file, one object per line:
 
     {"text": "...", "gold": [{"kind": "conjugation", "ordinal": 2}], "note": "..."}
 
-`gold` lists the true faults of the sentence, keyed by token ordinal
-(structure faults use ordinal 0, the whole-sentence convention). With D+
-the set of gold fault keys and R the set of faults the engine reports over
-the same tokenization, detection precision is |D+ ∩ R| / |R|, computed in
-exact rational arithmetic and undefined (rendered "n/a") when the engine
-reports nothing. Recall |D+ ∩ R| / |D+| is computed as well, as an
+`gold` lists the true faults of the entry, keyed by token ordinal
+(structure faults use the ordinal of their sentence's first token, 0 for
+a single sentence). With D+ the set of gold fault keys and R the set of
+faults the engine reports, each keyed by its `Fault.ordinal`, detection
+precision is |D+ ∩ R| / |R|, computed in exact rational arithmetic and
+undefined (rendered "n/a") when the engine reports nothing. Recall |D+ ∩ R| / |D+| is computed as well, as an
 extension beyond the precision-only original metric.
 
 Entries whose `note` contains "excluded-from-strict" still count toward
@@ -25,7 +25,6 @@ from fractions import Fraction
 from .engine import Engine, FaultKind
 from .errors import CorpusError
 from .lexicon import _read_text
-from .segmentation import normalize, split_sentences
 
 EXCLUSION_FLAG = "excluded-from-strict"
 
@@ -137,35 +136,19 @@ def load_corpus(source) -> list[GoldAnnotation]:
 def run_corpus(corpus, engine: Engine) -> CorpusResult:
     """Evaluate the engine over a corpus: per-kind precision plus verdict diffs.
 
-    Detections and gold faults are keyed (entry, kind, token ordinal), with
-    token ordinals counted across the whole entry (corpus entries are single
-    sentences by convention) and structure faults keyed to the first token
-    of their sentence.
+    Detections and gold faults are keyed (entry, kind, token ordinal). A
+    detection's ordinal is its `Fault.ordinal`: counted across the whole
+    entry (corpus entries are single sentences by convention), and for a
+    structure fault the first token of its sentence.
     """
     sets = {kind: EvalSets() for kind in _KINDS}
     diffs: list[VerdictDiff] = []
 
     for entry_index, entry in enumerate(corpus):
-        nt = normalize(entry.text, engine.options)
-        sentences = split_sentences(nt)
-        report = engine.analyze_text(entry.text)
-
-        span_to_ordinal: dict[tuple[int, int], int] = {}
-        sentence_first_ordinal: dict[int, int] = {}
-        counter = 0
-        for sentence in sentences:
-            sentence_first_ordinal[sentence.index] = counter
-            for token in sentence.tokens:
-                span_to_ordinal[token.span] = counter
-                counter += 1
-
-        detected = set()
-        for fault in report.faults:
-            if fault.kind is FaultKind.STRUCTURE:
-                ordinal = sentence_first_ordinal.get(fault.sentence_index, 0)
-            else:
-                ordinal = span_to_ordinal[fault.spans[0]]
-            detected.add((entry_index, fault.kind.value, ordinal))
+        detected = {
+            (entry_index, fault.kind.value, fault.ordinal)
+            for fault in engine.analyze_text(entry.text).faults
+        }
 
         gold = {(entry_index, kind, ordinal) for kind, ordinal in entry.gold}
         for kind in _KINDS:

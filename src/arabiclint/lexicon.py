@@ -50,23 +50,21 @@ class LexicalEntry:
     order: int  # position in the source file, used as a deterministic tie-break
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MorphAnalysis:
     """One prefix + base + suffix decomposition of a surface form."""
 
     prefix: str
-    base: str
     suffix: str
-    category: Category
     entry: LexicalEntry
 
-    def __post_init__(self):
-        if self.base != self.entry.base or self.category != self.entry.category:
-            raise ValueError("analysis does not agree with its lexicon entry")
+    @property
+    def base(self) -> str:
+        return self.entry.base
 
     @property
-    def surface(self) -> str:
-        return self.prefix + self.base + self.suffix
+    def category(self) -> Category:
+        return self.entry.category
 
 
 class SpellingVerdict(Enum):
@@ -90,9 +88,6 @@ class Lexicon:
 
     def category_names(self) -> set[str]:
         return {cat.name for cat in self.categories}
-
-    def __contains__(self, base: str) -> bool:
-        return base in self._by_base
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -144,7 +139,7 @@ def _read_text(source, error_cls) -> str:
     try:
         with open(source, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise error_cls(f"cannot read {source!r}: {exc}") from exc
 
 
@@ -256,13 +251,7 @@ def analyze_word(word: str, lexicon: Lexicon, affixes: AffixInventory) -> list[M
             base = rest[: len(rest) - len(suffix)] if suffix else rest
             for entry in lexicon.lookup_base(base):
                 analyses.append(
-                    MorphAnalysis(
-                        prefix=prefix,
-                        base=base,
-                        suffix=suffix,
-                        category=entry.category,
-                        entry=entry,
-                    )
+                    MorphAnalysis(prefix=prefix, suffix=suffix, entry=entry)
                 )
     analyses.sort(key=lambda a: (-len(a.base), len(a.prefix), a.entry.order))
     return analyses

@@ -84,11 +84,6 @@ class Sentence:
     tokens: tuple[Token, ...]
     terminator: str | None = None
 
-    @property
-    def span(self) -> tuple[int, int]:
-        """Original-text range from the first to the last token."""
-        return self.tokens[0].span[0], self.tokens[-1].span[1]
-
     @classmethod
     def from_words(
         cls, nt: NormalizedText, index: int, words, terminator: str | None = None
@@ -204,29 +199,14 @@ def _tokens(nt: NormalizedText, words) -> list[Token]:
     ]
 
 
-def iter_segments(normalized: str):
-    """Yield (start, end, terminator) for raw inter-boundary segments.
-
-    Boundaries are the terminator characters and blank lines (a newline
-    followed, possibly after spaces, by another newline). Terminators are
-    never part of a segment. Segments may be empty or whitespace-only;
-    `split_sentences` drops those.
-    """
-    seg_start = 0
-    for m in _SCAN_RE.finditer(normalized):
-        if m.lastindex != _WORD_GROUP:
-            yield seg_start, m.start(), m.group(_TERMINATOR_GROUP)
-            seg_start = m.end()
-    if seg_start < len(normalized):
-        yield seg_start, len(normalized), None
-
-
 def scan_sentences(normalized: str):
     """Yield (words, terminator) for each sentence holding at least one word.
 
     `words` is the list of word matches of the sentence in `normalized`, in
     order; `terminator` is the character that closed it, or None at a blank
-    line or the end of the text. The whole text is scanned once.
+    line or the end of the text. Boundaries are the terminator characters
+    and blank lines (a newline followed, possibly after spaces, by another
+    newline). The whole text is scanned once.
     """
     words = []
     for m in _SCAN_RE.finditer(normalized):

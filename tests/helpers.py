@@ -53,9 +53,12 @@ def oracle_sentence_count(normalized):
     segments = []
     for piece in pieces:
         segments.extend(piece.split("\x00"))
-    def has_word(segment):
-        return any(ch.isalnum() or ch in ARABIC_MARKS for ch in segment)
     return sum(1 for segment in segments if has_word(segment))
+
+
+def has_word(segment):
+    """Whether a segment holds a word character: a letter, digit or Arabic mark."""
+    return any(ch.isalnum() or ch in ARABIC_MARKS for ch in segment)
 
 
 def oracle_segments(normalized):
@@ -204,13 +207,8 @@ def synthetic_tagged(ordinal, category_names):
     token = make_token(ordinal)
     candidates = []
     for order, name in enumerate(category_names):
-        category = Category(name=name)
-        entry = LexicalEntry(base=token.surface, category=category, order=order)
-        candidates.append(
-            MorphAnalysis(
-                prefix="", base=token.surface, suffix="", category=category, entry=entry
-            )
-        )
+        entry = LexicalEntry(base=token.surface, category=Category(name=name), order=order)
+        candidates.append(MorphAnalysis(prefix="", suffix="", entry=entry))
     return TaggedToken(token=token, candidates=candidates)
 
 

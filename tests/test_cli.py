@@ -18,6 +18,19 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def write_latin1(tmp_path, name):
+    """A file holding the byte 0xE9, which is not valid UTF-8."""
+    path = tmp_path / name
+    path.write_bytes("prefixes = caf\u00e9\n".encode("latin-1"))
+    return str(path)
+
+
+def assert_one_error_line(err, *parts):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(part in lines[0] for part in parts)
+
+
 class TestCheck:
     def test_clean_sentence_exits_zero(self, tmp_path, capsys, clean_env):
         path = write(tmp_path, "in.txt", "أنتم لم تذهبوا")
@@ -162,6 +175,18 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and key in captured.err
 
+    def test_non_utf8_affixes_file_exits_two(self, tmp_path, capsys, clean_env):
+        affixes = write_latin1(tmp_path, "affixes.txt")
+        path = write(tmp_path, "in.txt", "ذهب")
+        assert main(["check", path, "--affixes", affixes]) == 2
+        assert_one_error_line(capsys.readouterr().err, "cannot read", "affixes.txt")
+
+    def test_non_utf8_env_config_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ARABICLINT_CONFIG", write_latin1(tmp_path, "cfg"))
+        path = write(tmp_path, "in.txt", "ذهب")
+        assert main(["check", path]) == 2
+        assert_one_error_line(capsys.readouterr().err, "cannot read ARABICLINT_CONFIG")
+
     def test_affixes_path_with_equals_sign(self, tmp_path, capsys, clean_env):
         # A path is a path even when it contains the key = value separator.
         directory = tmp_path / "a=b"
@@ -223,6 +248,13 @@ class TestEval:
 
     def test_missing_corpus_exits_two(self, tmp_path, capsys, clean_env):
         assert main(["eval", str(tmp_path / "nope.jsonl")]) == 2
+
+    def test_non_utf8_corpus_exits_two(self, tmp_path, capsys, clean_env):
+        corpus = write_latin1(tmp_path, "c.jsonl")
+        assert main(["eval", corpus]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "cannot read", "c.jsonl")
 
 
 class TestRulesValidate:
@@ -296,6 +328,12 @@ class TestLexiconLookup:
         main(["lexicon", "lookup", "هما"])
         out = capsys.readouterr().out
         assert "∅ + هما + ∅" in out and "∅ + هم + ا" in out
+
+    def test_word_empty_after_normalization_exits_two(self, capsys, clean_env):
+        assert main(["lexicon", "lookup", "\u064e"]) == 2  # a lone fatha
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "empty after normalization")
 
 
 class TestExitCodeContract:

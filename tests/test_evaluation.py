@@ -183,3 +183,17 @@ class TestRunCorpus:
         result = outcome.results["conjugation"]
         assert (result.detected, result.hits, result.gold) == (1, 0, 1)
         assert outcome.diffs == []  # verdict view agrees even though keys differ
+
+    def test_repeated_sentence_keys_each_copy_to_its_own_ordinal(self, engine):
+        # The second copy reuses the first one's verdict; its fault still
+        # keys to its own token, ordinal 5, past the first sentence.
+        corpus = [
+            GoldAnnotation(
+                text="أنتم لم تذهبون. أنتم لم تذهبون",
+                gold=(("conjugation", 2), ("conjugation", 5)),
+            )
+        ]
+        outcome = run_corpus(corpus, engine)
+        result = outcome.results["conjugation"]
+        assert (result.detected, result.hits, result.gold) == (2, 2, 2)
+        assert outcome.diffs == []

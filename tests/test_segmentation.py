@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arabiclint import NormalizationOptions, normalize, split_sentences, tokenize
-from arabiclint.segmentation import SENTENCE_TERMINATORS, iter_segments
+from arabiclint.segmentation import SENTENCE_TERMINATORS, scan_sentences
 
-from helpers import oracle_segments, oracle_sentence_count
+from helpers import has_word, oracle_segments, oracle_sentence_count
 
 ARABIC_LETTERS = "ابتثجحخدذرزسشصضطظعغفقكلمنهويىءآأإؤئة"
 DIACRITICS = "".join(chr(c) for c in range(0x064B, 0x0653))
@@ -119,13 +119,11 @@ class TestSplitSentences:
 
     def test_segments_cover_the_text(self):
         nt = normalize("ذهب أكرم. تذهب إيمان؟ لم يكتبوا\n\nالجملة")
-        rebuilt = []
-        for start, end, terminator in iter_segments(nt.normalized):
-            rebuilt.append((start, end))
-        # Segments are ordered, non-overlapping, and everything between two
-        # consecutive segments is terminators or whitespace.
+        # Sentences are ordered, non-overlapping, and everything between two
+        # consecutive sentences is terminators or whitespace.
         previous_end = 0
-        for start, end in rebuilt:
+        for words, terminator in scan_sentences(nt.normalized):
+            start, end = words[0].start(), words[-1].end()
             assert start >= previous_end
             gap = nt.normalized[previous_end:start]
             assert all(ch in SENTENCE_TERMINATORS or ch.isspace() for ch in gap)
@@ -139,7 +137,16 @@ class TestSplitSentences:
     @given(st.one_of(mixed_text, boundary_text))
     def test_segments_match_character_walk_oracle(self, text):
         normalized = normalize(text).normalized
-        assert list(iter_segments(normalized)) == oracle_segments(normalized)
+        segments = [
+            (start, end, terminator)
+            for start, end, terminator in oracle_segments(normalized)
+            if has_word(normalized[start:end])
+        ]
+        sentences = list(scan_sentences(normalized))
+        assert len(sentences) == len(segments)
+        for (words, terminator), (start, end, expected) in zip(sentences, segments):
+            assert terminator == expected
+            assert all(start <= word.start() < word.end() <= end for word in words)
 
     @settings(max_examples=200)
     @given(mixed_text)
