@@ -180,22 +180,29 @@ def cmd_check(args) -> int:
         return 2
     engine = Engine.from_config(config)
     report = engine.analyze_text(text)
+    status = 1 if report.faults else 0
 
     fmt = args.format or env.get("format") or "text"
-    if fmt == "json":
-        print(render_json(report))
-    elif fmt == "html":
-        print(render_html(report, text), end="")
-    else:
-        color_choice = args.color or env.get("color") or "auto"
-        use_color = _want_color(color_choice, sys.stdout)
-        print(
-            render_text(
-                report, text, color=use_color, kind_colors=_parse_color_map(args.colors)
-            ),
-            end="",
-        )
-    return 1 if report.faults else 0
+    out = sys.stdout
+    try:
+        if fmt == "json":
+            render_json(report, out)
+            out.write("\n")
+        elif fmt == "html":
+            out.write(render_html(report, text))
+        else:
+            color_choice = args.color or env.get("color") or "auto"
+            use_color = _want_color(color_choice, out)
+            kind_colors = _parse_color_map(args.colors)
+            out.write(render_text(report, text, color=use_color, kind_colors=kind_colors))
+        out.flush()
+    except BrokenPipeError:
+        # The reader went away (`| head`). The verdict stands; point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+    return status
 
 
 def cmd_eval(args) -> int:

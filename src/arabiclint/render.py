@@ -3,6 +3,16 @@
 Each fault kind has its own color class so faults stay tellable apart at a
 glance. Text output is emitted in logical character order; right-to-left
 display is the terminal's job and no reordering ever happens here.
+
+Canonical JSON is written by a direct emitter that walks the `Report` and
+lays out `json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True,
+indent=2)` by hand: keys in sorted order, two-space indent, `[]` for an
+empty list, and every string escaped by `json.encoder.encode_basestring`,
+the function `json.dumps` itself uses without `ensure_ascii`. With `indent`
+set, `json.dumps` runs its pure-Python encoder over every value of the
+report; the emitter instead formats each record with one f-string and can
+stream the document in batches of records. `canonical_json(report.to_dict())`
+is its oracle: the tests hold the two byte-identical on generated reports.
 """
 
 from __future__ import annotations
@@ -10,6 +20,8 @@ from __future__ import annotations
 import html
 import json
 from bisect import bisect_left
+from itertools import islice
+from json.encoder import encode_basestring
 
 from .engine import FaultKind, Report
 
@@ -34,9 +46,90 @@ def paint(text: str, color: str) -> str:
     return f"\x1b[4;{ANSI_CODES[color]}m{text}\x1b[0m"
 
 
-def render_json(report: Report) -> str:
-    """Canonical JSON: parsing and re-dumping reproduces identical bytes."""
-    return json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True, indent=2)
+def render_json(report: Report, out=None) -> str | None:
+    """Canonical JSON: parsing and re-dumping reproduces identical bytes.
+
+    Returns the document; or, when `out` is given, writes it to `out` in
+    chunks of at most JSON_BATCH records and returns None. Either way there
+    is no trailing newline.
+    """
+    chunks = _json_chunks(report)
+    if out is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        out.write(chunk)
+    return None
+
+
+# Records per chunk that `render_json` writes to `out`.
+JSON_BATCH = 256
+
+
+def _json_chunks(report: Report):
+    stats = ",\n".join(
+        [f"    {encode_basestring(k)}: {_json_scalar(v)}" for k, v in sorted(report.stats.items())]
+    )
+    yield '{\n  "faults": '
+    yield from _json_batches(map(_json_fault, report.faults))
+    yield f',\n  "stats": {{\n{stats}\n  }}' if stats else ',\n  "stats": {}'
+    yield ',\n  "structures": '
+    yield from _json_batches(map(_json_structure, report.structures))
+    yield ',\n  "warnings": '
+    yield from _json_batches(f"    {encode_basestring(w)}" for w in report.warnings)
+    yield "\n}"
+
+
+def _json_batches(items):
+    """The array of a top-level key, JSON_BATCH rendered `items` per chunk."""
+    batch = list(islice(items, JSON_BATCH))
+    if not batch:
+        yield "[]"
+        return
+    yield "[\n" + ",\n".join(batch)
+    while batch := list(islice(items, JSON_BATCH)):
+        yield ",\n" + ",\n".join(batch)
+    yield "\n  ]"
+
+
+def _json_list(items, pad: str) -> str:
+    """An array of rendered `items` whose closing bracket sits at indent `pad`."""
+    inner = f",\n{pad}  ".join(items)
+    return f"[\n{pad}  {inner}\n{pad}]" if inner else "[]"
+
+
+def _json_scalar(value) -> str:
+    """A JSON null, boolean, string or integer."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return encode_basestring(value)
+    return int.__repr__(value)
+
+
+def _json_fault(fault) -> str:
+    spans = [_json_list(map(int.__repr__, span), "        ") for span in fault.spans]
+    return (
+        f'    {{\n      "kind": {encode_basestring(fault.kind.value)},'
+        f'\n      "message": {encode_basestring(fault.message)},'
+        f'\n      "rule_id": {_json_scalar(fault.rule_id)},'
+        f'\n      "sentence": {int.__repr__(fault.sentence_index)},'
+        f'\n      "spans": {_json_list(spans, "      ")}\n    }}'
+    )
+
+
+def _json_structure(record) -> str:
+    verdict = record.verdict
+    labels = _json_list(map(encode_basestring, verdict.labels), "      ")
+    return (
+        f'    {{\n      "labels": {labels},'
+        f'\n      "matched": {_json_scalar(verdict.matched)},'
+        f'\n      "rule_id": {_json_scalar(verdict.rule_id)},'
+        f'\n      "sentence": {int.__repr__(record.index)},'
+        f'\n      "skipped": {_json_list(map(int.__repr__, verdict.skipped), "      ")},'
+        f'\n      "span": {_json_list(map(int.__repr__, record.span), "      ")}\n    }}'
+    )
 
 
 def canonical_json(obj) -> str:

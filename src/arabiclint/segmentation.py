@@ -12,6 +12,7 @@ at spans of the untouched input regardless of how much was stripped.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,14 +46,16 @@ class NormalizationOptions:
     keep_diacritics: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedText:
     """A normalized view of a document.
 
     `offset_map[i]` is the index in `original` of the character that
     produced `normalized[i]`. The map is monotonically non-decreasing;
     under the default options `normalized` contains no tashkeel and no
-    tatweel.
+    tatweel. It is `range(len(original))` when normalizing changed nothing,
+    and otherwise an `array('Q')`, 8 bytes a character. Two instances compare
+    and hash by identity.
     """
 
     original: str
@@ -140,7 +143,10 @@ def normalize(text: str, options: NormalizationOptions | None = None) -> Normali
     if last < len(text):
         parts.append(text[last:])
         offsets.extend(range(last, len(text)))
-    return NormalizedText(original=text, normalized="".join(parts), offset_map=tuple(offsets))
+    # Unsigned: array("Q") converts a list without the per-item argument
+    # parsing that the signed typecodes go through.
+    offset_map = array("Q", offsets)
+    return NormalizedText(original=text, normalized="".join(parts), offset_map=offset_map)
 
 
 # Combining marks of the Arabic block (kept inside tokens when diacritics

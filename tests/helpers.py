@@ -61,6 +61,23 @@ def has_word(segment):
     return any(ch.isalnum() or ch in ARABIC_MARKS for ch in segment)
 
 
+def oracle_offset_map(text, fold_hamza, keep_diacritics):
+    """(normalized, offset map) of `text`, walking one character at a time.
+
+    Tatweel (U+0640) is always dropped and tashkeel (U+064B..U+0652) unless
+    kept; every other character survives, an alef variant as bare alef when
+    folding, and maps back to its own index.
+    """
+    folds = {"\u0622": "\u0627", "\u0623": "\u0627", "\u0625": "\u0627", "\u0671": "\u0627"}
+    normalized, offsets = [], []
+    for i, ch in enumerate(text):
+        if ch == "\u0640" or (not keep_diacritics and "\u064b" <= ch <= "\u0652"):
+            continue
+        normalized.append(folds.get(ch, ch) if fold_hamza else ch)
+        offsets.append(i)
+    return "".join(normalized), offsets
+
+
 def oracle_segments(normalized):
     """(start, end, terminator) between boundaries, walking one character at a time.
 

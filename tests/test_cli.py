@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arabiclint
 from arabiclint import data_path
 from arabiclint.cli import main
 from arabiclint.render import canonical_json
+
+from test_acceptance import FUZZ_VOCABULARY
 
 
 @pytest.fixture()
@@ -66,7 +73,7 @@ class TestCheck:
         path = write(tmp_path, "in.txt", "أنتم لم تذهبون")
         assert main(["check", path, "--format", "json"]) == 1
         out = capsys.readouterr().out
-        rendered = out[:-1]  # print() adds one newline
+        rendered = out[:-1]  # check ends the document with one newline
         parsed = json.loads(rendered)
         assert canonical_json(parsed) == rendered
         assert parsed["stats"]["conjugation"] == 1
@@ -217,6 +224,25 @@ class TestCheck:
         main(["check", text, "--format", "json", "--lexicon", lexicon, "--structure-rules", rules])
         report = json.loads(capsys.readouterr().out)
         assert report["warnings"] == ["duplicate entry dropped: ذهب in <Verbe>"]
+
+    def test_closed_pipe_keeps_exit_code_and_silent_stderr(self, tmp_path, clean_env):
+        # About 1.4 MB of JSON: far more than a pipe buffers, so the writer
+        # meets the closed pipe mid-report.
+        base = ". ".join(FUZZ_VOCABULARY[:30]) + ".\n"
+        path = write(tmp_path, "in.txt", base * 100)
+        src = str(Path(arabiclint.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        command = [sys.executable, "-m", "arabiclint.cli", "check", "--format", "json", path]
+        with subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as child:
+            assert len(child.stdout.read(1)) == 1
+            child.stdout.close()
+            stderr = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert stderr == b""
+        assert code == 1
 
 
 class TestEval:

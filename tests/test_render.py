@@ -1,10 +1,104 @@
 import random
 import time
+from unittest import mock
 
-from arabiclint.render import render_html
+from hypothesis import given
+from hypothesis import strategies as st
+
+from arabiclint import Engine, Fault, FaultKind, Report, render
+from arabiclint.cli import main
+from arabiclint.engine import SentenceRecord, SentenceVerdict
+from arabiclint.render import canonical_json, render_html, render_json
 
 from helpers import deadline, oracle_render_html
 from test_acceptance import _fuzz_document
+
+
+class Recorder:
+    """A stand-in for stdout that keeps each write."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+
+
+# Strings JSON must escape or carry through: quote, backslash, control
+# characters, the line and paragraph separators, and non-BMP characters.
+awkward = st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "\u2029", "\U0001f600", "𝔸", "ا"]
+)
+texts = st.lists(awkward | st.text(max_size=4), max_size=5).map("".join)
+rule_ids = st.none() | texts
+spans = st.tuples(st.integers(), st.integers())
+faults = st.builds(
+    Fault,
+    kind=st.sampled_from(FaultKind),
+    sentence_index=st.integers(min_value=0),
+    ordinal=st.integers(min_value=0),
+    spans=st.lists(spans, max_size=3).map(tuple),
+    message=texts,
+    rule_id=rule_ids,
+)
+verdicts = st.builds(
+    SentenceVerdict,
+    labels=st.lists(texts, max_size=4).map(tuple),
+    skipped=st.lists(st.integers(min_value=0), max_size=3).map(tuple),
+    matched=st.booleans(),
+    rule_id=rule_ids,
+    faults=st.just(()),
+    warnings=st.just(()),
+)
+records = st.builds(SentenceRecord, index=st.integers(min_value=0), span=spans, verdict=verdicts)
+reports = st.builds(
+    Report,
+    faults=st.lists(faults, max_size=5),
+    structures=st.lists(records, max_size=5),
+    stats=st.dictionaries(texts, st.integers(), max_size=4),
+    warnings=st.lists(texts, max_size=4),
+)
+
+
+@given(reports, st.integers(min_value=1, max_value=3))
+def test_json_equals_canonical_dump(report, batch):
+    expected = canonical_json(report.to_dict())
+    streamed = Recorder()
+    # Small batches put chunk boundaries inside every array.
+    with mock.patch.object(render, "JSON_BATCH", batch):
+        assert render_json(report) == expected
+        assert render_json(report, streamed) is None
+    assert "".join(streamed.chunks) == expected
+
+
+def test_json_streams_in_batches():
+    verdict = SentenceVerdict(("Verbe",), (), True, "V1", (), ())
+    report = Report(
+        faults=[
+            Fault(FaultKind.SPELLING, i, i, ((i, i + 1),), f"unknown word: {i}")
+            for i in range(10_000)
+        ],
+        structures=[SentenceRecord(i, (i, i + 1), verdict) for i in range(10_000)],
+        stats={"spelling": 10_000},
+    )
+    streamed = Recorder()
+    render_json(report, streamed)
+    assert len(streamed.chunks) < 100
+    assert "".join(streamed.chunks) == canonical_json(report.to_dict())
+
+
+def test_check_json_stdout_is_the_rendered_report(engine, tmp_path, capsys, monkeypatch):
+    # Every run uses the shared default engine instead of loading its own.
+    monkeypatch.delenv("ARABICLINT_CONFIG", raising=False)
+    monkeypatch.setattr(Engine, "from_config", classmethod(lambda cls, config: engine))
+    path = tmp_path / "in.txt"
+    rng = random.Random(424242)
+    for _ in range(200):
+        document = _fuzz_document(rng)
+        path.write_text(document, encoding="utf-8")
+        report = engine.analyze_text(document)
+        assert main(["check", "--format", "json", str(path)]) == (1 if report.faults else 0)
+        assert capsys.readouterr().out == render_json(report) + "\n"
 
 
 def test_html_equals_the_mark_by_mark_oracle(engine):

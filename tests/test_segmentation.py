@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 from arabiclint import NormalizationOptions, normalize, split_sentences, tokenize
 from arabiclint.segmentation import SENTENCE_TERMINATORS, scan_sentences
 
-from helpers import has_word, oracle_segments, oracle_sentence_count
+from helpers import has_word, oracle_offset_map, oracle_segments, oracle_sentence_count
+from test_acceptance import FUZZ_SEPARATORS, FUZZ_VOCABULARY
 
 ARABIC_LETTERS = "ابتثجحخدذرزسشصضطظعغفقكلمنهويىءآأإؤئة"
 DIACRITICS = "".join(chr(c) for c in range(0x064B, 0x0653))
 MIXED_ALPHABET = ARABIC_LETTERS + DIACRITICS + " \n\t.،؛؟!?:;ـabc123()-"
 
 mixed_text = st.text(alphabet=MIXED_ALPHABET, max_size=80)
+# Every character of the criterion-6 fuzz documents: shadda, damma, tatweel
+# and alef-hamza among them.
+FUZZ_ALPHABET = "".join(sorted(set("".join(FUZZ_VOCABULARY + FUZZ_SEPARATORS))))
+fuzz_text = st.text(alphabet=FUZZ_ALPHABET, max_size=80)
 # Few letters, many boundary and whitespace characters: long newline runs.
 boundary_text = st.text(alphabet="بت \t\n\n.؟،", max_size=60)
 
@@ -66,6 +71,20 @@ class TestNormalize:
         assert len(nt.offset_map) == len(nt.normalized)
         assert all(0 <= o < len(text) for o in nt.offset_map)
         assert all(a < b for a, b in zip(nt.offset_map, nt.offset_map[1:]))
+
+    @settings(max_examples=300)
+    @given(fuzz_text | mixed_text, st.booleans(), st.booleans())
+    def test_offset_map_matches_character_walk_oracle(self, text, fold, keep):
+        opts = NormalizationOptions(fold_hamza=fold, keep_diacritics=keep)
+        nt = normalize(text, opts)
+        normalized, offsets = oracle_offset_map(text, fold, keep)
+        assert nt.normalized == normalized
+        assert list(nt.offset_map) == offsets
+
+    def test_normalized_text_hashes_by_identity(self):
+        nt = normalize("وَ")
+        assert hash(nt) == hash(nt)
+        assert nt == nt and nt != normalize("وَ")
 
 
 class TestSplitSentences:
