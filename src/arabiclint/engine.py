@@ -43,7 +43,7 @@ from .rules import (
     load_conjugation_rules,
     load_structure_rules,
 )
-from .segmentation import NormalizationOptions, Sentence, normalize, scan_sentences
+from .segmentation import NormalizationOptions, normalize, scan_sentences
 from .tagging import TaggedToken, disambiguate
 
 # Category names the algorithm is wired to. They are part of the data-file
@@ -225,21 +225,19 @@ class Engine:
             self._analysis_cache[surface] = cached
         return cached
 
-    def analyze_sentence(self, sentence: Sentence) -> SentenceVerdict:
-        """Decide one sentence; the verdict depends only on its token surfaces."""
+    def analyze_sentence(self, surfaces: tuple[str, ...]) -> SentenceVerdict:
+        """Decide one sentence from the normalized surfaces of its tokens."""
         faults = []
 
         # Unknown words become spelling faults; every known word is labelled
         # with all of its cached analyses.
         tagged = []
-        for token in sentence.tokens:
-            candidates = self.analyses(token.surface)
+        for ordinal, surface in enumerate(surfaces):
+            candidates = self.analyses(surface)
             if candidates:
-                tagged.append(TaggedToken(token=token, candidates=candidates))
+                tagged.append(TaggedToken(ordinal, surface, candidates))
             else:
-                faults.append(
-                    (FaultKind.SPELLING, token.ordinal, f"unknown word: {token.surface}", None)
-                )
+                faults.append((FaultKind.SPELLING, ordinal, f"unknown word: {surface}", None))
 
         structure, outcome = disambiguate(tagged, self.structure_rules)
 
@@ -251,7 +249,7 @@ class Engine:
         warnings = ()
         if CATEGORY_VERB in structure.labels:
             conj_faults, conj_warnings = check_conjugation(
-                sentence, tagged, self.conjugation_rules
+                surfaces, tagged, self.conjugation_rules
             )
             faults.extend(conj_faults)
             warnings = tuple(conj_warnings)
@@ -317,12 +315,11 @@ class Engine:
         records: list[SentenceRecord] = []
         warnings: list[str] = []
         span_of = nt.span_in_original
-        for index, (words, terminator) in enumerate(sentences, first_index):
+        for index, (words, _) in enumerate(sentences, first_index):
             surfaces = tuple(map(re.Match.group, words))
             verdict = verdicts.get(surfaces)
             if verdict is None:
-                sentence = Sentence.from_words(nt, index, words, terminator)
-                verdict = verdicts[surfaces] = self.analyze_sentence(sentence)
+                verdict = verdicts[surfaces] = self.analyze_sentence(surfaces)
             span = span_of(words[0].start(), words[-1].end())
             for kind, ordinal, message, rule_id in verdict.faults:
                 fault_span = (
@@ -338,7 +335,7 @@ class Engine:
 
 
 def check_conjugation(
-    sentence: Sentence, tagged, rules: ConjugationRuleSet
+    surfaces: tuple[str, ...], tagged, rules: ConjugationRuleSet
 ) -> tuple[list[tuple[FaultKind, int, str, str]], list[str]]:
     """Check every verb of a disambiguated sentence against the agreement table.
 
@@ -347,47 +344,46 @@ def check_conjugation(
     form of `SentenceVerdict.faults`, plus configuration warnings for any
     resolved (key, tense) pair the rule set does not cover.
     """
-    chosen = {t.token.ordinal: t.analysis for t in tagged if t.analysis is not None}
-    verbs = [
-        t for t in tagged if t.analysis and t.analysis.category.name == CATEGORY_VERB
-    ]
+    chosen = {}
+    verbs = []
+    for t in tagged:
+        if t.chosen is not None:
+            analysis = chosen[t.ordinal] = t.candidates[t.chosen]
+            if analysis.entry.category.name == CATEGORY_VERB:
+                verbs.append((t.ordinal, t.surface, analysis))
     if not verbs:
         raise ValueError("conjugation check on a sentence with no chosen verb")
 
     faults = []
     warnings: list[str] = []
-    tokens = sentence.tokens
-    for verb in verbs:
-        ordinal = verb.token.ordinal
-        previous = tokens[ordinal - 1].surface if ordinal > 0 else None
+    for ordinal, surface, verb in verbs:
+        previous = surfaces[ordinal - 1] if ordinal > 0 else None
         tense = TENSE_NEGATION if previous in NEGATION_PARTICLES else TENSE_SIMPLE
 
         key = None
         i = ordinal - 1
-        while i >= 0 and tokens[i].surface in NEGATION_PARTICLES:
+        while i >= 0 and surfaces[i] in NEGATION_PARTICLES:
             i -= 1
         if i >= 0:
             analysis = chosen.get(i)
-            if analysis is not None and analysis.category.name == CATEGORY_PRONOUN:
-                key = analysis.base
-        if key is None and ordinal + 1 < len(tokens):
+            if analysis is not None and analysis.entry.category.name == CATEGORY_PRONOUN:
+                key = analysis.entry.base
+        if key is None and ordinal + 1 < len(surfaces):
             analysis = chosen.get(ordinal + 1)
             if analysis is not None:
-                key = SUBJECT_FEATURES.get(analysis.category.name)
+                key = SUBJECT_FEATURES.get(analysis.entry.category.name)
         if key is None:
             key = NO_SUBJECT_KEY
 
         rule = rules.lookup(key, tense)
         if rule is None:
             warnings.append(
-                f"no conjugation rule for ({key}, {tense}); "
-                f"verb {verb.token.surface} not checked"
+                f"no conjugation rule for ({key}, {tense}); verb {surface} not checked"
             )
             continue
 
-        analysis = verb.analysis
-        prebase_ok = rule.prebase == ANY_AFFIX or analysis.prefix == rule.prebase
-        postbase_ok = rule.postbase == ANY_AFFIX or analysis.suffix == rule.postbase
+        prebase_ok = rule.prebase == ANY_AFFIX or verb.prefix == rule.prebase
+        postbase_ok = rule.postbase == ANY_AFFIX or verb.suffix == rule.postbase
         if prebase_ok and postbase_ok:
             continue
         wanted = []
@@ -396,7 +392,7 @@ def check_conjugation(
         if not postbase_ok:
             wanted.append(f"postbase {rule.postbase or '(none)'}")
         message = (
-            f"verb {verb.token.surface} does not agree with {key} "
+            f"verb {surface} does not agree with {key} "
             f"({tense}): expected {', '.join(wanted)}"
         )
         faults.append((FaultKind.CONJUGATION, ordinal, message, rule.id))

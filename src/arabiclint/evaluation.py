@@ -116,13 +116,19 @@ def load_corpus(source) -> list[GoldAnnotation]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict) or "text" not in obj:
-            raise CorpusError(f"line {lineno}: expected an object with a 'text' field")
+        if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
+            raise CorpusError(f"line {lineno}: expected an object with a string 'text' field")
+        if not isinstance(obj.get("note", ""), (str, type(None))):
+            raise CorpusError(f"line {lineno}: 'note' must be a string")
+        items = obj.get("gold", [])
+        if not isinstance(items, list):
+            raise CorpusError(f"line {lineno}: 'gold' must be a list of objects")
         gold = []
-        for item in obj.get("gold", []):
-            kind = item.get("kind")
-            ordinal = item.get("ordinal")
-            if kind not in _KINDS or not isinstance(ordinal, int):
+        for item in items:
+            fields = item if isinstance(item, dict) else {}
+            kind, ordinal = fields.get("kind"), fields.get("ordinal")
+            # bool is a subclass of int, but `true` is not a token ordinal.
+            if kind not in _KINDS or type(ordinal) is not int or ordinal < 0:
                 raise CorpusError(f"line {lineno}: bad gold item {item!r}")
             gold.append((kind, ordinal))
         entries.append(

@@ -109,6 +109,12 @@ class AffixInventory:
         for affix in self.all_prefixes() | self.all_suffixes():
             if any(ch.isspace() or ch in SENTENCE_TERMINATORS for ch in affix):
                 raise AffixLoadError(f"affix {affix!r} contains whitespace or a terminator")
+        # analyze_word's tables. Each affix maps to itself, so analyses share
+        # the inventory's strings instead of holding slices of every word.
+        prefixes = {affix: affix for affix in self.all_prefixes()}
+        suffixes = {affix: affix for affix in self.all_suffixes()}
+        tables = (prefixes, suffixes, max(map(len, prefixes)), max(map(len, suffixes)))
+        object.__setattr__(self, "_cut_tables", tables)
 
     def all_prefixes(self) -> frozenset[str]:
         # Verb prebases take part in ordinary analysis; their agreement
@@ -237,23 +243,25 @@ def analyze_word(word: str, lexicon: Lexicon, affixes: AffixInventory) -> list[M
     paired with every category the base carries. Ordered longest base
     first, then shorter prefix, then lexicon file order, so downstream
     tie-breaking is deterministic. An empty result means an unknown word.
+    As in Buckwalter's analyser, only the word's own cut points are tried,
+    bounded by the longest prefix and suffix.
     """
     if not word:
         raise ValueError("cannot analyze an empty word")
+    prefixes, suffixes, longest_prefix, longest_suffix = affixes._cut_tables
+    n = len(word)
+    first_cut = n - longest_suffix
     analyses: list[MorphAnalysis] = []
-    for prefix in affixes.all_prefixes():
-        if not word.startswith(prefix):
+    for i in range(min(longest_prefix, n - 1) + 1):
+        prefix = prefixes.get(word[:i])
+        if prefix is None:
             continue
-        rest = word[len(prefix):]
-        for suffix in affixes.all_suffixes():
-            if len(suffix) >= len(rest) or not rest.endswith(suffix):
-                continue
-            base = rest[: len(rest) - len(suffix)] if suffix else rest
-            for entry in lexicon.lookup_base(base):
-                analyses.append(
-                    MorphAnalysis(prefix=prefix, suffix=suffix, entry=entry)
-                )
-    analyses.sort(key=lambda a: (-len(a.base), len(a.prefix), a.entry.order))
+        for j in range(max(i + 1, first_cut), n + 1):
+            suffix = suffixes.get(word[j:])
+            if suffix is not None:
+                for entry in lexicon.lookup_base(word[i:j]):
+                    analyses.append(MorphAnalysis(prefix, suffix, entry))
+    analyses.sort(key=lambda a: (-len(a.entry.base), len(a.prefix), a.entry.order))
     return analyses
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .lexicon import MorphAnalysis
 from .rules import MatchOutcome, match_structure
-from .segmentation import Token
 
 # Tokens whose every candidate falls in these categories are excluded from
 # structure matching. Conjunctions and demonstratives stay in the sequence:
@@ -29,15 +28,10 @@ DEFAULT_SKIP_CATEGORIES = frozenset({"Particule"})
 
 @dataclass(slots=True)
 class TaggedToken:
-    token: Token
+    ordinal: int
+    surface: str
     candidates: list[MorphAnalysis]
     chosen: int | None = None
-
-    @property
-    def analysis(self) -> MorphAnalysis | None:
-        if self.chosen is None:
-            return None
-        return self.candidates[self.chosen]
 
 
 @dataclass(slots=True)
@@ -73,20 +67,22 @@ def disambiguate(tagged, rules) -> tuple[SentenceStructure, MatchOutcome]:
     unambiguous = True
     for t in tagged:
         candidates = t.candidates
-        if all(c.category.name in DEFAULT_SKIP_CATEGORIES for c in candidates):
-            t.chosen = 0
-            skipped_ordinals.append(t.token.ordinal)
+        for c in candidates:
+            if c.entry.category.name not in DEFAULT_SKIP_CATEGORIES:
+                active.append(t)
+                if len(candidates) > 1:
+                    unambiguous = False
+                break
         else:
-            active.append(t)
-            if len(candidates) > 1:
-                unambiguous = False
+            t.chosen = 0
+            skipped_ordinals.append(t.ordinal)
     skipped = tuple(skipped_ordinals)
 
     if unambiguous:
         # The common case: one candidate per token, one assignment to try.
         for t in active:
             t.chosen = 0
-        labels = tuple(t.candidates[0].category.name for t in active)
+        labels = tuple(t.candidates[0].entry.category.name for t in active)
         return SentenceStructure(labels=labels, skipped=skipped), match_structure(
             labels, rules
         )
@@ -104,7 +100,7 @@ def disambiguate(tagged, rules) -> tuple[SentenceStructure, MatchOutcome]:
     chosen = prefix or []
     for depth, t in enumerate(active):
         t.chosen = chosen[depth] if depth < len(chosen) else 0
-    labels = tuple(t.analysis.category.name for t in active)
+    labels = tuple(t.candidates[t.chosen].entry.category.name for t in active)
     outcome = MatchOutcome.unmatched() if prefix is None else match_structure(labels, rules)
     return SentenceStructure(labels=labels, skipped=skipped), outcome
 
@@ -121,7 +117,7 @@ def _first_prefix(active, patterns, depth, live, failed):
     if (depth, live) in failed:
         return None
     for j, candidate in enumerate(active[depth].candidates):
-        label = candidate.category.name
+        label = candidate.entry.category.name
         survivors = tuple(i for i in live if patterns[i][depth] == label)
         if survivors:
             rest = _first_prefix(active, patterns, depth + 1, survivors, failed)

@@ -17,7 +17,6 @@ from arabiclint import (
     MatchOutcome,
     MorphAnalysis,
     TaggedToken,
-    Token,
 )
 from arabiclint.segmentation import ARABIC_MARKS, SENTENCE_TERMINATORS
 
@@ -200,12 +199,6 @@ def oracle_precision(d_plus, detected):
     return len(set(d_plus) & set(detected)) / len(detected)
 
 
-def make_token(ordinal, surface=None):
-    surface = surface or f"w{ordinal}"
-    start = ordinal * 10
-    return Token(surface=surface, span=(start, start + len(surface)), ordinal=ordinal)
-
-
 def tag_known_words(engine, tokens):
     """TaggedTokens of the known words among `tokens`, labelled as the engine does.
 
@@ -213,7 +206,7 @@ def tag_known_words(engine, tokens):
     `Engine.analyze_sentence` labels from; unknown words are left out.
     """
     return [
-        TaggedToken(token=token, candidates=candidates)
+        TaggedToken(token.ordinal, token.surface, candidates)
         for token in tokens
         if (candidates := engine.analyses(token.surface))
     ]
@@ -221,12 +214,12 @@ def tag_known_words(engine, tokens):
 
 def synthetic_tagged(ordinal, category_names):
     """A TaggedToken with one single-split candidate per category name."""
-    token = make_token(ordinal)
+    surface = f"w{ordinal}"
     candidates = []
     for order, name in enumerate(category_names):
-        entry = LexicalEntry(base=token.surface, category=Category(name=name), order=order)
+        entry = LexicalEntry(base=surface, category=Category(name=name), order=order)
         candidates.append(MorphAnalysis(prefix="", suffix="", entry=entry))
-    return TaggedToken(token=token, candidates=candidates)
+    return TaggedToken(ordinal, surface, candidates)
 
 
 @contextmanager

@@ -282,6 +282,30 @@ class TestEval:
         assert captured.out == ""
         assert_one_error_line(captured.err, "cannot read", "c.jsonl")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"text": "هم", "gold": [1]}',
+            '{"text": "هم", "gold": 5}',
+            '{"text": "هم", "gold": {"kind": "spelling", "ordinal": 0}}',
+            '{"text": 5}',
+            '{"text": null}',
+            '{"text": "هم", "note": 5}',
+            '{"text": "هم", "gold": [{"kind": "spelling", "ordinal": true}]}',
+            '{"text": "هم", "gold": [{"kind": "spelling", "ordinal": -1}]}',
+            '{"text": "هم", "gold": [{"kind": "spelling", "ordinal": 1.0}]}',
+            '{"text": "هم", "gold": [{"kind": ["spelling"], "ordinal": 0}]}',
+        ],
+    )
+    def test_malformed_entry_exits_two_naming_its_line(
+        self, line, tmp_path, capsys, clean_env
+    ):
+        corpus = write(tmp_path, "c.jsonl", '{"text": "هم", "gold": []}\n' + line + "\n")
+        assert main(["eval", corpus]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "line 2")
+
 
 class TestRulesValidate:
     def test_shipped_databases_are_clean(self, capsys, clean_env):

@@ -294,21 +294,23 @@ class TestConjugationGuard:
         assert len(tagged) == len(sentence.tokens)
         disambiguate(tagged, engine.structure_rules)
         with pytest.raises(ValueError, match="no chosen verb"):
-            check_conjugation(sentence, tagged, engine.conjugation_rules)
+            check_conjugation(
+                tuple(t.surface for t in sentence.tokens), tagged, engine.conjugation_rules
+            )
 
     def test_never_called_without_a_verb_label(self, engine, monkeypatch):
         calls = []
         real = engine_module.check_conjugation
 
-        def counting(sentence, tagged, rules, *args, **kwargs):
-            calls.append(sentence.index)
-            return real(sentence, tagged, rules, *args, **kwargs)
+        def counting(surfaces, tagged, rules, *args, **kwargs):
+            calls.append(surfaces)
+            return real(surfaces, tagged, rules, *args, **kwargs)
 
         monkeypatch.setattr(engine_module, "check_conjugation", counting)
         engine.analyze_text("التسويق هو مجموعة من العمليات والأنشطة")  # no verb
         assert calls == []
         engine.analyze_text("تذهب إيمان")  # verb present
-        assert calls == [0]
+        assert calls == [("تذهب", "ايمان")]
 
     def test_missing_rule_is_a_warning_not_a_fault(self, engine):
         tiny_rules = load_conjugation_rules(

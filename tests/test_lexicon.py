@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from arabiclint import (
     AffixInventory,
     AffixLoadError,
+    Category,
+    LexicalEntry,
+    Lexicon,
     LexiconLoadError,
     SpellingVerdict,
     analyze_word,
@@ -180,6 +183,14 @@ class TestAnalyzeWord:
             ("", "هم", "ا"),
         ]
 
+    def test_analyses_hold_the_inventory_affix_strings(self, lexicon, affixes):
+        # The engine caches analyses for every word it sees; each must point
+        # at the inventory's affix strings, not at copies sliced from the word.
+        inventory = affixes.all_prefixes() | affixes.all_suffixes()
+        (analysis,) = analyze_word("تذهبون", lexicon, affixes)
+        assert any(analysis.prefix is affix for affix in inventory)
+        assert any(analysis.suffix is affix for affix in inventory)
+
     def test_empty_word_rejected(self, lexicon, affixes):
         with pytest.raises(ValueError):
             analyze_word("", lexicon, affixes)
@@ -216,6 +227,51 @@ class TestAnalyzeWord:
             for a in analyze_word(word, lexicon, affixes)
         }
         assert got == oracle_splits(word, lexicon, affixes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_order_matches_sorted_oracle_on_generated_data(self, data):
+        # A six-letter alphabet makes affixes and bases collide often.
+        letters = st.text("البوهم", min_size=1, max_size=3)
+        extra = lambda: data.draw(st.frozensets(letters, max_size=4))
+        # Overlapping multi-letter prefixes are always present, and an affix
+        # of six letters or more is longer than most words drawn below.
+        long_affix = data.draw(st.text("البوهم", min_size=6, max_size=7))
+        affixes = AffixInventory(
+            prefixes=frozenset({"", "ال", "وال", "بال"}) | extra(),
+            suffixes=frozenset({"", long_affix}) | extra(),
+            verb_prebases=frozenset({""}) | extra(),
+            verb_postbases=frozenset({""}) | extra(),
+        )
+        # One base spelled like an affix, one listed under two categories.
+        affix_base = data.draw(st.sampled_from(sorted(affixes.all_prefixes() - {""})))
+        twice = data.draw(letters)
+        pairs = [(affix_base, "X"), (twice, "X"), (twice, "Y")]
+        pairs += data.draw(st.lists(st.tuples(letters, st.sampled_from("XYZ")), max_size=8))
+        categories = {name: Category(name=name) for name in "XYZ"}
+        entries, seen = [], set()
+        for base, name in pairs:
+            if (base, name) not in seen:
+                seen.add((base, name))
+                entries.append(LexicalEntry(base, categories[name], len(entries)))
+        lexicon = Lexicon(entries, categories.values())
+
+        if data.draw(st.booleans()):
+            pick = lambda pool: data.draw(st.sampled_from(sorted(pool)))
+            bases = {base for base, _ in pairs}
+            word = pick(affixes.all_prefixes()) + pick(bases) + pick(affixes.all_suffixes())
+        else:
+            word = data.draw(st.text("البوهم", min_size=1, max_size=8))
+        order = {(e.base, e.category.name): e.order for e in entries}
+        expected = sorted(
+            oracle_splits(word, lexicon, affixes),
+            key=lambda s: (-len(s[1]), len(s[0]), order[s[1], s[3]]),
+        )
+        got = [
+            (a.prefix, a.base, a.suffix, a.category.name)
+            for a in analyze_word(word, lexicon, affixes)
+        ]
+        assert got == expected
 
 
 class TestCheckSpelling:

@@ -50,7 +50,7 @@ class TestDisambiguate:
         structure, outcome = disambiguate(tagged, rules)
         assert outcome.matched
         assert structure.labels == ("NomPropreFeminin", "Verbe")
-        assert tagged[1].analysis.category.name == "Verbe"
+        assert tagged[1].candidates[tagged[1].chosen].category.name == "Verbe"
 
     def test_function_words_are_skipped(self):
         tagged = [
