@@ -267,7 +267,7 @@ def cmd_lexicon_lookup(args) -> int:
     if not word:
         raise ArabicLintError(f"word {args.word!r} is empty after normalization")
     engine = Engine.from_config(config)
-    analyses = engine.analyses(word)
+    analyses = engine.analyses(word).candidates
     verdict = SpellingVerdict.CORRECT if analyses else SpellingVerdict.UNKNOWN
     print(f"{args.word} -> {word}: {verdict.value}")
     for analysis in analyses:

@@ -44,7 +44,7 @@ from .rules import (
     load_structure_rules,
 )
 from .segmentation import NormalizationOptions, normalize, scan_sentences
-from .tagging import TaggedToken, disambiguate
+from .tagging import DEFAULT_SKIP_CATEGORIES, TaggedToken, Word, disambiguate
 
 # Category names the algorithm is wired to. They are part of the data-file
 # contract: the shipped taxonomy provides them and custom lexicons must use
@@ -61,10 +61,14 @@ SUBJECT_FEATURES = {
 
 NEGATION_PARTICLES = frozenset({"لم", "لن"})
 
-# Most surfaces one engine keeps analyses for. Far above the working set of
-# real text, so the cache is cleared only when a long-lived engine has seen
-# this many distinct words since the last clear.
+# Most surfaces one engine keeps analyses for, and most label keys it keeps
+# structure decisions for. Far above the working set of real text, so each
+# cache is cleared only when a long-lived engine has filled it since the
+# last clear.
 ANALYSIS_CACHE_SIZE = 65_536
+
+# The record every unknown surface shares.
+UNKNOWN_WORD = Word((), (), False)
 
 
 class FaultKind(str, Enum):
@@ -199,7 +203,13 @@ class Engine:
         self.structure_rules = list(structure_rules)
         self.conjugation_rules = conjugation_rules
         self.options = options or NormalizationOptions()
-        self._analysis_cache: dict[str, list] = {}
+        self._analysis_cache: dict[str, Word] = {}
+        self._label_tuples: dict[tuple[str, ...], tuple[str, ...]] = {}
+        # Label key -> (chosen candidate indices, labels, outcome) of its words.
+        # The search reads only the first L words' candidates, L being the
+        # longest pattern, and any wider sentence fits the same rules as L+1.
+        self._structures: dict[tuple, tuple] = {}
+        self._key_width = 1 + max((len(r.pattern) for r in self.structure_rules), default=0)
 
     @classmethod
     def from_config(cls, config: EngineConfig) -> "Engine":
@@ -216,54 +226,72 @@ class Engine:
     def default(cls) -> "Engine":
         return cls.from_config(default_config())
 
-    def analyses(self, surface: str):
-        cached = self._analysis_cache.get(surface)
-        if cached is None:
-            cached = analyze_word(surface, self.lexicon, self.affixes)
+    def analyses(self, surface: str) -> Word:
+        word = self._analysis_cache.get(surface)
+        if word is None:
             if len(self._analysis_cache) >= ANALYSIS_CACHE_SIZE:
                 self._analysis_cache.clear()
-            self._analysis_cache[surface] = cached
-        return cached
+                self._label_tuples.clear()
+            word = UNKNOWN_WORD
+            if candidates := tuple(analyze_word(surface, self.lexicon, self.affixes)):
+                labels = tuple(c.entry.category.name for c in candidates)
+                labels = self._label_tuples.setdefault(labels, labels)
+                word = Word(candidates, labels, DEFAULT_SKIP_CATEGORIES.issuperset(labels))
+            self._analysis_cache[surface] = word
+        return word
 
     def analyze_sentence(self, surfaces: tuple[str, ...]) -> SentenceVerdict:
-        """Decide one sentence from the normalized surfaces of its tokens."""
-        faults = []
+        """Decide one sentence from the normalized surfaces of its tokens.
 
-        # Unknown words become spelling faults; every known word is labelled
-        # with all of its cached analyses.
-        tagged = []
-        for ordinal, surface in enumerate(surfaces):
-            candidates = self.analyses(surface)
-            if candidates:
-                tagged.append(TaggedToken(ordinal, surface, candidates))
+        Unknown words become spelling faults and particles are skipped. The
+        structure is decided once per label key: the candidate labels of the
+        first L+1 remaining words, L being the longest rule pattern. Later
+        words take their first candidate.
+        """
+        words = list(map(self.analyses, surfaces))
+        faults, active, skipped = [], [], []
+        for ordinal, word in enumerate(words):
+            if word.particle:
+                skipped.append(ordinal)
+            elif word.labels:
+                active.append(ordinal)
             else:
-                faults.append((FaultKind.SPELLING, ordinal, f"unknown word: {surface}", None))
+                message = f"unknown word: {surfaces[ordinal]}"
+                faults.append((FaultKind.SPELLING, ordinal, message, None))
 
-        structure, outcome = disambiguate(tagged, self.structure_rules)
+        width = self._key_width
+        key = tuple([words[i].labels for i in active[:width]])
+        decision = self._structures.get(key)
+        if decision is None:
+            tagged = [TaggedToken(i, surfaces[i], words[i].candidates) for i in active[:width]]
+            structure, outcome = disambiguate(tagged, self.structure_rules)
+            decision = (tuple(t.chosen for t in tagged), structure.labels, outcome)
+            if len(self._structures) >= ANALYSIS_CACHE_SIZE:
+                self._structures.clear()
+            self._structures[key] = decision
+        picks, labels, outcome = decision
+        if len(active) > width:
+            labels += tuple([words[i].labels[0] for i in active[width:]])
 
-        if not outcome.matched and structure.labels:
-            faults.append(
-                (FaultKind.STRUCTURE, 0, "sentence structure matches no rule", None)
-            )
+        if not outcome.matched and labels:
+            faults.append((FaultKind.STRUCTURE, 0, "sentence structure matches no rule", None))
 
         warnings = ()
-        if CATEGORY_VERB in structure.labels:
-            conj_faults, conj_warnings = check_conjugation(
-                surfaces, tagged, self.conjugation_rules
-            )
+        if CATEGORY_VERB in labels:
+            chosen = [word.candidates[0] if word.labels else None for word in words]
+            for i, j in zip(active, picks):
+                if j:
+                    chosen[i] = words[i].candidates[j]
+            conj_faults, conj_warnings = check_conjugation(surfaces, chosen, self.conjugation_rules)
             faults.extend(conj_faults)
             warnings = tuple(conj_warnings)
 
         # A whole-sentence fault starts where token 0 does; a spelling fault
         # there ranks first, as in the document-wide order.
-        faults.sort(key=lambda f: (f[1], _KIND_RANK[f[0]]))
+        if len(faults) > 1:
+            faults.sort(key=lambda f: (f[1], _KIND_RANK[f[0]]))
         return SentenceVerdict(
-            labels=structure.labels,
-            skipped=structure.skipped,
-            matched=outcome.matched,
-            rule_id=outcome.rule_id,
-            faults=tuple(faults),
-            warnings=warnings,
+            labels, tuple(skipped), outcome.matched, outcome.rule_id, tuple(faults), warnings
         )
 
     def analyze_text(self, text: str, parallel: bool = False) -> Report:
@@ -335,22 +363,21 @@ class Engine:
 
 
 def check_conjugation(
-    surfaces: tuple[str, ...], tagged, rules: ConjugationRuleSet
+    surfaces: tuple[str, ...], chosen, rules: ConjugationRuleSet
 ) -> tuple[list[tuple[FaultKind, int, str, str]], list[str]]:
     """Check every verb of a disambiguated sentence against the agreement table.
 
-    Must only be called when the chosen structure contains a verb. Returns
-    the conjugation faults, as (kind, verb ordinal, message, rule id) in the
+    `chosen[i]` is token i's chosen MorphAnalysis, or None for an unknown
+    word. Must only be called when a chosen analysis is a verb. Returns the
+    conjugation faults, as (kind, verb ordinal, message, rule id) in the
     form of `SentenceVerdict.faults`, plus configuration warnings for any
     resolved (key, tense) pair the rule set does not cover.
     """
-    chosen = {}
-    verbs = []
-    for t in tagged:
-        if t.chosen is not None:
-            analysis = chosen[t.ordinal] = t.candidates[t.chosen]
-            if analysis.entry.category.name == CATEGORY_VERB:
-                verbs.append((t.ordinal, t.surface, analysis))
+    verbs = [
+        (ordinal, surfaces[ordinal], analysis)
+        for ordinal, analysis in enumerate(chosen)
+        if analysis is not None and analysis.entry.category.name == CATEGORY_VERB
+    ]
     if not verbs:
         raise ValueError("conjugation check on a sentence with no chosen verb")
 
@@ -365,11 +392,11 @@ def check_conjugation(
         while i >= 0 and surfaces[i] in NEGATION_PARTICLES:
             i -= 1
         if i >= 0:
-            analysis = chosen.get(i)
+            analysis = chosen[i]
             if analysis is not None and analysis.entry.category.name == CATEGORY_PRONOUN:
                 key = analysis.entry.base
         if key is None and ordinal + 1 < len(surfaces):
-            analysis = chosen.get(ordinal + 1)
+            analysis = chosen[ordinal + 1]
             if analysis is not None:
                 key = SUBJECT_FEATURES.get(analysis.entry.category.name)
         if key is None:

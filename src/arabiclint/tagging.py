@@ -1,9 +1,9 @@
 """Disambiguation of labelled words against the structure rules.
 
 Labelling, which attaches every lexicon analysis a known word admits, lives
-in `Engine.analyze_sentence`, on top of the engine's per-surface analysis
-cache. Disambiguation then picks one candidate per word so that the label
-sequence satisfies a structure rule, choosing the lexicographically first
+in `Engine.analyze_sentence`, on top of the engine's per-surface cache of
+`Word` records. Disambiguation then picks one candidate per word so that the
+label sequence satisfies a structure rule, choosing the lexicographically first
 such assignment over candidate indices. It finds it by a depth-first search
 that keeps only the rules whose pattern still equals the labels chosen so
 far, so its depth is bounded by the longest pattern, not by the sentence
@@ -26,11 +26,25 @@ from .rules import MatchOutcome, match_structure
 DEFAULT_SKIP_CATEGORIES = frozenset({"Particule"})
 
 
+@dataclass(frozen=True, slots=True)
+class Word:
+    """One surface's analyses with the facts labelling reads off them.
+
+    `labels` holds each candidate's category name, in candidate order;
+    `particle` is set when there are candidates and every one is in
+    DEFAULT_SKIP_CATEGORIES. An unknown word has no candidates.
+    """
+
+    candidates: tuple[MorphAnalysis, ...]
+    labels: tuple[str, ...]
+    particle: bool
+
+
 @dataclass(slots=True)
 class TaggedToken:
     ordinal: int
     surface: str
-    candidates: list[MorphAnalysis]
+    candidates: tuple[MorphAnalysis, ...]
     chosen: int | None = None
 
 
@@ -62,30 +76,13 @@ def disambiguate(tagged, rules) -> tuple[SentenceStructure, MatchOutcome]:
     first candidate and the outcome is unmatched. Either way every
     TaggedToken comes back with `chosen` set.
     """
-    active = []
-    skipped_ordinals = []
-    unambiguous = True
+    active, skipped = [], []
     for t in tagged:
-        candidates = t.candidates
-        for c in candidates:
-            if c.entry.category.name not in DEFAULT_SKIP_CATEGORIES:
-                active.append(t)
-                if len(candidates) > 1:
-                    unambiguous = False
-                break
+        if all(c.entry.category.name in DEFAULT_SKIP_CATEGORIES for c in t.candidates):
+            t.chosen = 0
+            skipped.append(t.ordinal)
         else:
-            t.chosen = 0
-            skipped_ordinals.append(t.ordinal)
-    skipped = tuple(skipped_ordinals)
-
-    if unambiguous:
-        # The common case: one candidate per token, one assignment to try.
-        for t in active:
-            t.chosen = 0
-        labels = tuple(t.candidates[0].entry.category.name for t in active)
-        return SentenceStructure(labels=labels, skipped=skipped), match_structure(
-            labels, rules
-        )
+            active.append(t)
 
     width = len(active)
     patterns = [rule.pattern for rule in rules]
@@ -96,13 +93,13 @@ def disambiguate(tagged, rules) -> tuple[SentenceStructure, MatchOutcome]:
         for i, rule in enumerate(rules)
         if (len(rule.pattern) == width if rule.exact else len(rule.pattern) <= width)
     )
-    prefix = _first_prefix(active, patterns, 0, fitting, set())
+    prefix = _first_prefix(active, patterns, 0, fitting, set()) if active else []
     chosen = prefix or []
     for depth, t in enumerate(active):
         t.chosen = chosen[depth] if depth < len(chosen) else 0
     labels = tuple(t.candidates[t.chosen].entry.category.name for t in active)
     outcome = MatchOutcome.unmatched() if prefix is None else match_structure(labels, rules)
-    return SentenceStructure(labels=labels, skipped=skipped), outcome
+    return SentenceStructure(labels=labels, skipped=tuple(skipped)), outcome
 
 
 def _first_prefix(active, patterns, depth, live, failed):

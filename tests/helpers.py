@@ -17,7 +17,18 @@ from arabiclint import (
     MatchOutcome,
     MorphAnalysis,
     TaggedToken,
+    analyze_word,
+    disambiguate,
 )
+from arabiclint.engine import (
+    NEGATION_PARTICLES,
+    NO_SUBJECT_KEY,
+    SUBJECT_FEATURES,
+    TENSE_NEGATION,
+    TENSE_SIMPLE,
+    SentenceVerdict,
+)
+from arabiclint.rules import ANY_AFFIX
 from arabiclint.segmentation import ARABIC_MARKS, SENTENCE_TERMINATORS
 
 
@@ -208,8 +219,90 @@ def tag_known_words(engine, tokens):
     return [
         TaggedToken(token.ordinal, token.surface, candidates)
         for token in tokens
-        if (candidates := engine.analyses(token.surface))
+        if (candidates := engine.analyses(token.surface).candidates)
     ]
+
+
+def oracle_sentence_verdict(engine, surfaces):
+    """The verdict of one sentence, decided over the whole sentence at once.
+
+    Every known word is tagged with all of its analyses, the whole sequence
+    is disambiguated, and conjugation reads the TaggedTokens' choices. The
+    engine's table, which decides a sentence from its first words, must agree.
+    """
+    faults, tagged = [], []
+    for ordinal, surface in enumerate(surfaces):
+        candidates = tuple(analyze_word(surface, engine.lexicon, engine.affixes))
+        if candidates:
+            tagged.append(TaggedToken(ordinal, surface, candidates))
+        else:
+            faults.append((FaultKind.SPELLING, ordinal, f"unknown word: {surface}", None))
+    structure, outcome = disambiguate(tagged, engine.structure_rules)
+    if not outcome.matched and structure.labels:
+        faults.append((FaultKind.STRUCTURE, 0, "sentence structure matches no rule", None))
+    warnings = ()
+    if "Verbe" in structure.labels:
+        conj_faults, conj_warnings = oracle_check_conjugation(
+            surfaces, tagged, engine.conjugation_rules
+        )
+        faults.extend(conj_faults)
+        warnings = tuple(conj_warnings)
+    rank = {FaultKind.SPELLING: 0, FaultKind.STRUCTURE: 1, FaultKind.CONJUGATION: 2}
+    faults.sort(key=lambda f: (f[1], rank[f[0]]))
+    return SentenceVerdict(
+        structure.labels,
+        structure.skipped,
+        outcome.matched,
+        outcome.rule_id,
+        tuple(faults),
+        warnings,
+    )
+
+
+def oracle_check_conjugation(surfaces, tagged, rules):
+    """Conjugation faults and warnings, reading choices off disambiguated TaggedTokens."""
+    chosen = {}
+    verbs = []
+    for t in tagged:
+        analysis = chosen[t.ordinal] = t.candidates[t.chosen]
+        if analysis.category.name == "Verbe":
+            verbs.append((t.ordinal, t.surface, analysis))
+    faults, warnings = [], []
+    for ordinal, surface, verb in verbs:
+        previous = surfaces[ordinal - 1] if ordinal > 0 else None
+        tense = TENSE_NEGATION if previous in NEGATION_PARTICLES else TENSE_SIMPLE
+        key = None
+        i = ordinal - 1
+        while i >= 0 and surfaces[i] in NEGATION_PARTICLES:
+            i -= 1
+        if i >= 0:
+            analysis = chosen.get(i)
+            if analysis is not None and analysis.category.name == "PronomPersonnel":
+                key = analysis.base
+        if key is None and ordinal + 1 < len(surfaces):
+            analysis = chosen.get(ordinal + 1)
+            if analysis is not None:
+                key = SUBJECT_FEATURES.get(analysis.category.name)
+        if key is None:
+            key = NO_SUBJECT_KEY
+        rule = rules.lookup(key, tense)
+        if rule is None:
+            warnings.append(f"no conjugation rule for ({key}, {tense}); verb {surface} not checked")
+            continue
+        prebase_ok = rule.prebase == ANY_AFFIX or verb.prefix == rule.prebase
+        postbase_ok = rule.postbase == ANY_AFFIX or verb.suffix == rule.postbase
+        if prebase_ok and postbase_ok:
+            continue
+        wanted = []
+        if not prebase_ok:
+            wanted.append(f"prebase {rule.prebase or '(none)'}")
+        if not postbase_ok:
+            wanted.append(f"postbase {rule.postbase or '(none)'}")
+        message = (
+            f"verb {surface} does not agree with {key} ({tense}): expected {', '.join(wanted)}"
+        )
+        faults.append((FaultKind.CONJUGATION, ordinal, message, rule.id))
+    return faults, warnings
 
 
 def synthetic_tagged(ordinal, category_names):
@@ -219,7 +312,7 @@ def synthetic_tagged(ordinal, category_names):
     for order, name in enumerate(category_names):
         entry = LexicalEntry(base=surface, category=Category(name=name), order=order)
         candidates.append(MorphAnalysis(prefix="", suffix="", entry=entry))
-    return TaggedToken(ordinal, surface, candidates)
+    return TaggedToken(ordinal, surface, tuple(candidates))
 
 
 @contextmanager

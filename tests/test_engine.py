@@ -2,16 +2,23 @@ import io
 import itertools
 import json
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arabiclint.engine as engine_module
 from arabiclint import (
+    Category,
     Engine,
     FaultKind,
+    LexicalEntry,
+    Lexicon,
     analyze_word,
     check_conjugation,
     load_conjugation_rules,
+    load_structure_rules,
     normalize,
     split_sentences,
 )
@@ -19,7 +26,12 @@ from arabiclint.render import render_json
 from arabiclint.rules import StructureRule
 from arabiclint.tagging import disambiguate
 
-from helpers import oracle_any_assignment_matches, tag_known_words
+from helpers import (
+    deadline,
+    oracle_any_assignment_matches,
+    oracle_sentence_verdict,
+    tag_known_words,
+)
 
 TABLE_TEXTS = [
     "يبحث في أصول تكوين الجملة وقواعد الإعراب",
@@ -276,15 +288,140 @@ class TestAnalysisCache:
         surfaces = [
             "".join(p) for p in itertools.islice(itertools.product(letters, repeat=4), cap + 1)
         ]
-        first = [engine.analyses(surface) for surface in surfaces]
+        first = [engine.analyses(surface).candidates for surface in surfaces]
         assert len(engine._analysis_cache) <= cap
         known = [i for i, analyses in enumerate(first) if analyses]
         assert known  # some four-letter strings are lexicon words
         for i in [0, *known, cap]:
-            expected = analyze_word(surfaces[i], engine.lexicon, engine.affixes)
+            expected = tuple(analyze_word(surfaces[i], engine.lexicon, engine.affixes))
             assert first[i] == expected
-            assert engine.analyses(surfaces[i]) == expected
+            assert engine.analyses(surfaces[i]).candidates == expected
         assert len(engine._analysis_cache) <= cap
+
+
+CONTENT_CATEGORIES = [
+    "Verbe",
+    "PronomPersonnel",
+    "NomPropreFeminin",
+    "NomPropreMasculin",
+    "NomPluriel",
+    "NomCommun",
+    "Conjonction",
+]
+BASES = ["كتب", "درس", "سكن", "لعب", "فهم"]
+# Words put between the matchable ones: a particle, the two negation
+# particles and a word no lexicon holds.
+EXTRAS = ["في", "لم", "لن", "qq"]
+
+
+@st.composite
+def sentence_worlds(draw):
+    """A drawn lexicon and rule file, and sentences for an engine over them.
+
+    Bases take one to three categories, so their words have several
+    candidates, some of them particles. Sentences hold L-1 to L+2 words
+    with a non-particle reading, L being the longest rule pattern, and a
+    few extras between them.
+    """
+    entries = [
+        LexicalEntry(word, Category(name), 0)
+        for word, name in [("انتم", "PronomPersonnel"), ("هما", "PronomPersonnel")]
+        + [(word, "Particule") for word in EXTRAS[:3]]
+    ]
+    for base in draw(st.lists(st.sampled_from(BASES), min_size=1, max_size=4, unique=True)):
+        names = draw(
+            st.lists(
+                st.sampled_from(CONTENT_CATEGORIES + ["Particule"]),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            ).filter(lambda names: names != ["Particule"])
+        )
+        entries += [LexicalEntry(base, Category(name), 0) for name in names]
+    categories = [Category(name) for name in CONTENT_CATEGORIES + ["Particule"]]
+    lexicon = Lexicon(entries, categories)
+
+    rules = []
+    for _ in range(draw(st.integers(1, 5))):
+        pattern = draw(st.lists(st.sampled_from(CONTENT_CATEGORIES), min_size=1, max_size=4))
+        mode = draw(st.sampled_from(["prefix", "exact"]))
+        rules.append(f'<regle mode="{mode}">{" ".join(pattern)}</regle>')
+    family = f"<ReglesPhrasesVerbales>{''.join(rules)}</ReglesPhrasesVerbales>"
+    xml = f"<ReglesApplicables>{family}</ReglesApplicables>"
+    structure_rules = load_structure_rules(io.StringIO(xml), lexicon.category_names())
+    longest = max(len(rule.pattern) for rule in structure_rules)
+
+    content = ["انتم", "هما"] + [
+        prefix + entry.base + suffix
+        for entry in entries
+        if entry.base in BASES
+        for prefix in ("", "ت", "ي")
+        for suffix in ("", "ون", "وا")
+    ]
+    pool = draw(st.lists(st.sampled_from(sorted(set(content))), min_size=1, max_size=4))
+    sentences = []
+    for _ in range(draw(st.integers(1, 8))):
+        width = draw(st.integers(max(1, longest - 1), longest + 2))
+        words = draw(st.lists(st.sampled_from(pool), min_size=width, max_size=width))
+        for extra in draw(st.lists(st.sampled_from(EXTRAS), max_size=2)):
+            words.insert(draw(st.integers(0, len(words))), extra)
+        sentences.append(tuple(words))
+    return lexicon, structure_rules, sentences
+
+
+def fresh_copy(engine):
+    """An engine over the same data files, with empty caches."""
+    return Engine(
+        engine.lexicon, engine.affixes, engine.structure_rules, engine.conjugation_rules, engine.options
+    )
+
+
+class TestStructureTable:
+    @settings(max_examples=300, deadline=None)
+    @given(sentence_worlds())
+    def test_verdicts_equal_whole_sentence_disambiguation(self, engine, world):
+        # One engine decides every sentence of the example, so a label key
+        # stored from one sentence is reused by sentences of other widths.
+        lexicon, structure_rules, sentences = world
+        drawn = Engine(
+            lexicon, engine.affixes, structure_rules, engine.conjugation_rules, engine.options
+        )
+        for surfaces in sentences:
+            expected = oracle_sentence_verdict(drawn, surfaces)
+            assert drawn.analyze_sentence(surfaces) == expected, surfaces
+
+    def test_table_stays_bounded(self, engine, monkeypatch):
+        monkeypatch.setattr(engine_module, "ANALYSIS_CACHE_SIZE", 8)
+        small = fresh_copy(engine)
+        words = ["يبحث", "ايمان", "ايمن", "هم", "مجموعة", "رغبات"]
+        sentences = [s for n in (1, 2) for s in itertools.product(words, repeat=n)]
+        keys = {tuple(small.analyses(word).labels for word in s) for s in sentences}
+        assert len(keys) > 8
+        for surfaces in sentences:
+            verdict = small.analyze_sentence(surfaces)
+            assert len(small._structures) <= 8
+            assert verdict == fresh_copy(engine).analyze_sentence(surfaces)
+
+
+    def test_threads_sharing_the_table_decide_as_one(self, engine, monkeypatch):
+        # parallel=True runs one thread per chunk and all of them read, fill
+        # and clear one structure table; a small table and a short switch
+        # interval make the clears land between other threads' steps.
+        monkeypatch.setattr(engine_module, "ANALYSIS_CACHE_SIZE", 8)
+        monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 6)
+        words = ["يبحث", "ايمان", "ايمن", "هم", "مجموعة", "رغبات", "انا", "في"]
+        text = ". ".join(" ".join(s) for s in itertools.product(words, repeat=3))
+        expected = render_json(fresh_copy(engine).analyze_text(text))
+        shared = fresh_copy(engine)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with deadline(60):
+                for _ in range(3):
+                    assert render_json(shared.analyze_text(text, parallel=True)) == expected
+                    assert len(shared._structures) <= 8 + 6
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestConjugationGuard:
@@ -293,18 +430,19 @@ class TestConjugationGuard:
         tagged = tag_known_words(engine, sentence.tokens)
         assert len(tagged) == len(sentence.tokens)
         disambiguate(tagged, engine.structure_rules)
+        chosen = [t.candidates[t.chosen] for t in tagged]
         with pytest.raises(ValueError, match="no chosen verb"):
             check_conjugation(
-                tuple(t.surface for t in sentence.tokens), tagged, engine.conjugation_rules
+                tuple(t.surface for t in sentence.tokens), chosen, engine.conjugation_rules
             )
 
     def test_never_called_without_a_verb_label(self, engine, monkeypatch):
         calls = []
         real = engine_module.check_conjugation
 
-        def counting(surfaces, tagged, rules, *args, **kwargs):
+        def counting(surfaces, chosen, rules, *args, **kwargs):
             calls.append(surfaces)
-            return real(surfaces, tagged, rules, *args, **kwargs)
+            return real(surfaces, chosen, rules, *args, **kwargs)
 
         monkeypatch.setattr(engine_module, "check_conjugation", counting)
         engine.analyze_text("التسويق هو مجموعة من العمليات والأنشطة")  # no verb

@@ -8,7 +8,7 @@ wrapped layer was entered.
 
 from pathlib import Path
 
-from arabiclint import Engine
+from arabiclint import Engine, normalize, split_sentences
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,3 +36,18 @@ def test_every_traced_layer_is_called(monkeypatch):
         "engine.assemble",
     ):
         assert tracer.calls[layer] > 0, layer
+
+
+def test_analyses_counts_every_token_of_each_distinct_sentence(monkeypatch):
+    # The tracer's analysis-cache hit ratio is taken over these lookups, so
+    # each word token of each distinct sentence must make exactly one.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    text = "أنتم لم تذهبون. كلمذة انا انا. تذهب إيمان في المكان. هم لن يكتبوا"
+    sentences = split_sentences(normalize(text))
+    surfaces = [tuple(token.surface for token in s.tokens) for s in sentences]
+    assert len(set(surfaces)) == len(surfaces)
+    with Tracer().installed() as tracer:
+        Engine.default().analyze_text(text)
+    assert tracer.calls["lexicon.analyses"] == sum(map(len, surfaces))
