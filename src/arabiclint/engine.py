@@ -80,7 +80,7 @@ class FaultKind(str, Enum):
 _KIND_RANK = {FaultKind.SPELLING: 0, FaultKind.STRUCTURE: 1, FaultKind.CONJUGATION: 2}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SentenceVerdict:
     """Everything a sentence's token surfaces decide, for a fixed engine.
 
@@ -98,7 +98,7 @@ class SentenceVerdict:
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Fault:
     """A reported fault; `ordinal` is the document-wide ordinal of its token
     (for a structure fault, its sentence's first token) and is not rendered."""

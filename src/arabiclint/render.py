@@ -10,9 +10,11 @@ indent=2)` by hand: keys in sorted order, two-space indent, `[]` for an
 empty list, and every string escaped by `json.encoder.encode_basestring`,
 the function `json.dumps` itself uses without `ensure_ascii`. With `indent`
 set, `json.dumps` runs its pure-Python encoder over every value of the
-report; the emitter instead formats each record with one f-string and can
-stream the document in batches of records. `canonical_json(report.to_dict())`
-is its oracle: the tests hold the two byte-identical on generated reports.
+report; the emitter instead builds the fixed text of each verdict, and of
+each fault's kind, message and rule id, once per call, so that a record
+costs only its sentence index and span ints. It can stream the document in
+batches of records. `canonical_json(report.to_dict())` is its oracle: the
+tests hold the two byte-identical on generated reports.
 """
 
 from __future__ import annotations
@@ -64,16 +66,20 @@ def render_json(report: Report, out=None) -> str | None:
 # Records per chunk that `render_json` writes to `out`.
 JSON_BATCH = 256
 
+# Most verdicts, and most fault heads, whose fixed text one `render_json`
+# call keeps: on novel text nearly every record has its own verdict.
+JSON_FRAGMENTS = 1024
+
 
 def _json_chunks(report: Report):
     stats = ",\n".join(
         [f"    {encode_basestring(k)}: {_json_scalar(v)}" for k, v in sorted(report.stats.items())]
     )
     yield '{\n  "faults": '
-    yield from _json_batches(map(_json_fault, report.faults))
+    yield from _json_batches(_json_faults(report.faults))
     yield f',\n  "stats": {{\n{stats}\n  }}' if stats else ',\n  "stats": {}'
     yield ',\n  "structures": '
-    yield from _json_batches(map(_json_structure, report.structures))
+    yield from _json_batches(_json_structures(report.structures))
     yield ',\n  "warnings": '
     yield from _json_batches(f"    {encode_basestring(w)}" for w in report.warnings)
     yield "\n}"
@@ -108,28 +114,48 @@ def _json_scalar(value) -> str:
     return int.__repr__(value)
 
 
-def _json_fault(fault) -> str:
-    spans = [_json_list(map(int.__repr__, span), "        ") for span in fault.spans]
-    return (
-        f'    {{\n      "kind": {encode_basestring(fault.kind.value)},'
-        f'\n      "message": {encode_basestring(fault.message)},'
-        f'\n      "rule_id": {_json_scalar(fault.rule_id)},'
-        f'\n      "sentence": {int.__repr__(fault.sentence_index)},'
-        f'\n      "spans": {_json_list(spans, "      ")}\n    }}'
-    )
+def _json_faults(faults):
+    """Each fault's JSON, its text up to the sentence index built once per
+    (kind, message, rule_id)."""
+    heads: dict = {}
+    for fault in faults:
+        key = (fault.kind, fault.message, fault.rule_id)
+        if (head := heads.get(key)) is None:
+            if len(heads) >= JSON_FRAGMENTS:
+                heads.clear()
+            head = heads[key] = (
+                f'    {{\n      "kind": {encode_basestring(fault.kind.value)},'
+                f'\n      "message": {encode_basestring(fault.message)},'
+                f'\n      "rule_id": {_json_scalar(fault.rule_id)},\n      "sentence": '
+            )
+        if len(fault.spans) == 1:
+            ((start, end),) = fault.spans
+            spans = f"[\n        [\n          {start},\n          {end}\n        ]\n      ]"
+        else:
+            spans = [_json_list(map(int.__repr__, span), "        ") for span in fault.spans]
+            spans = _json_list(spans, "      ")
+        yield f'{head}{fault.sentence_index},\n      "spans": {spans}\n    }}'
 
 
-def _json_structure(record) -> str:
-    verdict = record.verdict
-    labels = _json_list(map(encode_basestring, verdict.labels), "      ")
-    return (
-        f'    {{\n      "labels": {labels},'
-        f'\n      "matched": {_json_scalar(verdict.matched)},'
-        f'\n      "rule_id": {_json_scalar(verdict.rule_id)},'
-        f'\n      "sentence": {int.__repr__(record.index)},'
-        f'\n      "skipped": {_json_list(map(int.__repr__, verdict.skipped), "      ")},'
-        f'\n      "span": {_json_list(map(int.__repr__, record.span), "      ")}\n    }}'
-    )
+def _json_structures(records):
+    """Each record's JSON, the text around its sentence index built once per
+    verdict. The report keeps every verdict alive, so their ids differ."""
+    fragments: dict = {}
+    for record in records:
+        verdict = record.verdict
+        if (pair := fragments.get(id(verdict))) is None:
+            if len(fragments) >= JSON_FRAGMENTS:
+                fragments.clear()
+            labels = _json_list(map(encode_basestring, verdict.labels), "      ")
+            skipped = _json_list(map(int.__repr__, verdict.skipped), "      ")
+            pair = fragments[id(verdict)] = (
+                f'    {{\n      "labels": {labels},'
+                f'\n      "matched": {_json_scalar(verdict.matched)},'
+                f'\n      "rule_id": {_json_scalar(verdict.rule_id)},\n      "sentence": ',
+                f',\n      "skipped": {skipped},\n      "span": [\n        ',
+            )
+        start, end = record.span
+        yield f"{pair[0]}{record.index}{pair[1]}{start},\n        {end}\n      ]\n    }}"
 
 
 def canonical_json(obj) -> str:

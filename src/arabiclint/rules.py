@@ -15,9 +15,9 @@ families as children:
 
 A rule matches a sentence when its pattern is a prefix of the sentence's
 label sequence; a rule may opt into whole-sequence matching with
-mode="exact". Category names in patterns are resolved case-insensitively
-against the lexicon taxonomy (so the conventional lowercase "verbe"
-denotes the Verbe category).
+mode="exact". A category name in a pattern matches a taxonomy name exactly
+or, failing that, ignoring case (so the conventional lowercase "verbe"
+denotes Verbe); a name that matches two categories ignoring case is an error.
 
 Conjugation rules give the verb prebase/postbase required by a subject
 agreement key in a tense context:
@@ -134,7 +134,9 @@ def load_structure_rules(source, known_categories) -> list[StructureRule]:
     if root.tag != "ReglesApplicables":
         raise RuleLoadError(f"expected root <ReglesApplicables>, found <{root.tag}>")
     known = set(known_categories)
-    by_lower = {name.lower(): name for name in known}
+    by_lower: dict[str, list[str]] = {}
+    for name in sorted(known):
+        by_lower.setdefault(name.lower(), []).append(name)
     rules: list[StructureRule] = []
     for family in root:
         kind = _RULE_FAMILIES.get(family.tag)
@@ -149,12 +151,15 @@ def load_structure_rules(source, known_categories) -> list[StructureRule]:
                 raise RuleLoadError(f"empty rule in <{family.tag}>")
             pattern = []
             for name in names:
-                resolved = name if name in known else by_lower.get(name.lower())
-                if resolved is None:
+                resolved = [name] if name in known else by_lower.get(name.lower(), [])
+                if not resolved:
+                    raise RuleLoadError(f"rule {raw!r} references unknown category {name!r}")
+                if len(resolved) > 1:
                     raise RuleLoadError(
-                        f"rule {raw!r} references unknown category {name!r}"
+                        f"rule {raw!r}: category {name!r} matches each of "
+                        f"{', '.join(resolved)} ignoring case"
                     )
-                pattern.append(resolved)
+                pattern.append(resolved[0])
             mode = element.get("mode", "prefix")
             if mode not in ("prefix", "exact"):
                 raise RuleLoadError(f"rule {raw!r} has unknown mode {mode!r}")

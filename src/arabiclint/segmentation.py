@@ -35,8 +35,6 @@ ALEF_FOLDING = {
 # deliberately not a boundary.
 SENTENCE_TERMINATORS = frozenset({".", ":", ";", "!", "?", "؛", "؟"})
 
-ARABIC_COMMA = "،"
-
 
 @dataclass(frozen=True)
 class NormalizationOptions:

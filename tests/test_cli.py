@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,9 @@ import pytest
 import arabiclint
 from arabiclint import data_path
 from arabiclint.cli import main
-from arabiclint.render import canonical_json
+from arabiclint.render import canonical_json, render_json
 
-from test_acceptance import FUZZ_VOCABULARY
+from test_acceptance import FUZZ_VOCABULARY, _fuzz_document
 
 
 @pytest.fixture()
@@ -243,6 +244,56 @@ class TestCheck:
             code = child.wait(timeout=60)
         assert stderr == b""
         assert code == 1
+
+
+def run_under_hash_seeds(args):
+    """(exit code, stdout, stderr) of `python -m arabiclint.cli ARGS` under
+    PYTHONHASHSEED 0, 1 and 2."""
+    src = str(Path(arabiclint.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    env.pop("ARABICLINT_CONFIG", None)
+    runs = []
+    for seed in ("0", "1", "2"):
+        child = subprocess.run(
+            [sys.executable, "-m", "arabiclint.cli", *args],
+            capture_output=True,
+            env=dict(env, PYTHONHASHSEED=seed),
+            timeout=60,
+        )
+        runs.append((child.returncode, child.stdout, child.stderr))
+    return runs
+
+
+class TestHashSeed:
+    def test_check_json_is_the_same_under_every_seed(self, engine, tmp_path):
+        document = _fuzz_document(random.Random(424242))
+        path = write(tmp_path, "in.txt", document)
+        report = engine.analyze_text(document)
+        expected = (1 if report.faults else 0, (render_json(report) + "\n").encode(), b"")
+        assert run_under_hash_seeds(["check", "--format", "json", path]) == [expected] * 3
+
+    def test_case_twin_categories_fail_alike_under_every_seed(self, tmp_path):
+        lexicon = write(
+            tmp_path,
+            "lex.xml",
+            "<MOTS><Verbes><Verbe>يذهب</Verbe><VERBE>يكتب</VERBE></Verbes>"
+            "<Noms><NomCommun>بيت</NomCommun></Noms></MOTS>",
+        )
+        rules = write(
+            tmp_path,
+            "rules.xml",
+            "<ReglesApplicables><ReglesPhrasesVerbales>"
+            "<regle>verbe NomCommun</regle>"
+            "</ReglesPhrasesVerbales></ReglesApplicables>",
+        )
+        text = write(tmp_path, "in.txt", "يذهب بيت.\nيكتب بيت.")
+        args = ["check", "--format", "json", text, "--lexicon", lexicon]
+        runs = run_under_hash_seeds(args + ["--structure-rules", rules])
+        assert runs == [runs[0]] * 3
+        code, out, err = runs[0]
+        assert code == 2 and out == b""
+        assert_one_error_line(err.decode(), "'verbe'", "VERBE, Verbe")
 
 
 class TestEval:

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given
@@ -66,6 +67,47 @@ def test_json_equals_canonical_dump(report, batch):
     streamed = Recorder()
     # Small batches put chunk boundaries inside every array.
     with mock.patch.object(render, "JSON_BATCH", batch):
+        assert render_json(report) == expected
+        assert render_json(report, streamed) is None
+    assert "".join(streamed.chunks) == expected
+
+
+small = st.integers(min_value=1, max_value=3)
+span_lists = st.sampled_from([0, 1, 3]).flatmap(lambda n: st.lists(spans, min_size=n, max_size=n))
+
+
+@st.composite
+def shared_reports(draw):
+    """Reports whose records share a few verdict objects, among them equal
+    verdicts that are distinct objects and verdicts with equal labels only,
+    and whose faults of 0, 1 or 3 spans repeat a few (kind, message,
+    rule_id) heads, among them heads that differ only in rule_id."""
+    pool = draw(st.lists(verdicts, min_size=1, max_size=3))
+    pool += [replace(v) for v in draw(st.lists(st.sampled_from(pool), max_size=3))]
+    twins = draw(st.lists(st.sampled_from(pool), max_size=2))
+    pool += [replace(v, matched=not v.matched) for v in twins]
+    any_head = st.tuples(st.sampled_from(FaultKind), texts, rule_ids)
+    heads = draw(st.lists(any_head, min_size=1, max_size=3))
+    heads += [(kind, message, f"{rule_id}'") for kind, message, rule_id in heads]
+    faults = [
+        Fault(kind, draw(st.integers(min_value=0)), 0, tuple(draw(span_lists)), message, rule_id)
+        for kind, message, rule_id in draw(st.lists(st.sampled_from(heads), max_size=6))
+    ]
+    records = [
+        SentenceRecord(draw(st.integers(min_value=0)), draw(spans), verdict)
+        for verdict in draw(st.lists(st.sampled_from(pool), max_size=6))
+    ]
+    return Report(faults=faults, structures=records)
+
+
+@given(shared_reports(), small, small)
+def test_json_with_shared_fragments_equals_canonical_dump(report, batch, bound):
+    expected = canonical_json(report.to_dict())
+    streamed = Recorder()
+    # A small cache bound clears the fragments in the middle of each list.
+    with mock.patch.object(render, "JSON_BATCH", batch), mock.patch.object(
+        render, "JSON_FRAGMENTS", bound
+    ):
         assert render_json(report) == expected
         assert render_json(report, streamed) is None
     assert "".join(streamed.chunks) == expected

@@ -73,6 +73,22 @@ class TestLoadStructureRules:
         assert "Adjectif" in str(excinfo.value)
         assert "Adjectif verbe" in str(excinfo.value)
 
+    def test_name_matching_case_twins_is_an_error(self):
+        # With both Verbe and VERBE, "verbe" used to take whichever the set
+        # of category names yielded last under the hash seed.
+        xml = (
+            "<ReglesApplicables><ReglesPhrasesVerbales>"
+            "<regle>verbe NomCommun</regle>"
+            "</ReglesPhrasesVerbales></ReglesApplicables>"
+        )
+        with pytest.raises(RuleLoadError) as excinfo:
+            load_structure_rules(io.StringIO(xml), KNOWN | {"VERBE"})
+        assert "'verbe'" in str(excinfo.value)
+        assert "VERBE, Verbe" in str(excinfo.value)
+        # An exact name still resolves beside its case twin.
+        (rule,) = load_structure_rules(io.StringIO(xml.replace("verbe", "Verbe")), KNOWN | {"VERBE"})
+        assert rule.pattern == ("Verbe", "NomCommun")
+
     def test_empty_rule_set_is_an_error(self):
         xml = "<ReglesApplicables><ReglesPhrasesVerbales></ReglesPhrasesVerbales></ReglesApplicables>"
         with pytest.raises(RuleLoadError, match="empty"):
