@@ -60,7 +60,6 @@ from .segmentation import (
     Token,
     normalize,
     split_sentences,
-    tokenize,
 )
 from .tagging import SentenceStructure, TaggedToken, disambiguate
 
@@ -112,5 +111,4 @@ __all__ = [
     "normalize",
     "run_corpus",
     "split_sentences",
-    "tokenize",
 ]

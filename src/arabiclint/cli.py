@@ -21,8 +21,9 @@ import sys
 from .engine import Engine, EngineConfig, data_path, default_config
 from .errors import ArabicLintError
 from .evaluation import PrecisionResult, load_corpus, run_corpus
-from .lexicon import SpellingVerdict
+from .lexicon import SpellingVerdict, _read_text
 from .render import ANSI_CODES, render_html, render_json, render_text
+from .rules import VERBAL
 from .segmentation import normalize
 
 CONFIG_ENV_VAR = "ARABICLINT_CONFIG"
@@ -68,11 +69,9 @@ def _load_env_config() -> dict:
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            content = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ArabicLintError(f"cannot read {CONFIG_ENV_VAR} file: {exc}") from exc
+    # _read_text's "cannot read 'PATH': why", saying where PATH came from.
+    named = f"cannot read {CONFIG_ENV_VAR} file"
+    content = _read_text(path, lambda msg: ArabicLintError(msg.replace("cannot read", named, 1)))
     values = {}
     for lineno, raw in enumerate(content.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -106,43 +105,39 @@ def _add_engine_flags(parser: argparse.ArgumentParser):
     )
 
 
-def _build_config(args, env: dict) -> EngineConfig:
+def _build_config(args) -> EngineConfig:
     config = default_config()
-
-    def pick(flag_value, env_key):
-        if flag_value is not None:
-            return flag_value
-        return env.get(env_key)
-
-    lexicon = pick(args.lexicon, "lexicon")
-    affixes = pick(args.affixes, "affixes")
-    structure = pick(args.structure_rules, "structure-rules")
-    conjugation = pick(args.conjugation_rules, "conjugation-rules")
-    if lexicon:
-        config.lexicon_path = lexicon
-    if affixes:
-        config.affixes_path = affixes
-    if structure:
-        config.structure_rules_path = structure
-    if conjugation:
-        config.conjugation_rules_path = conjugation
-
-    fold = pick(args.fold_hamza, "fold-hamza")
-    if fold is not None:
-        config.fold_hamza = fold
-    keep = pick(args.keep_diacritics, "keep-diacritics")
-    if keep is not None:
-        config.keep_diacritics = keep
+    # An empty path keeps the bundled file.
+    if args.lexicon:
+        config.lexicon_path = args.lexicon
+    if args.affixes:
+        config.affixes_path = args.affixes
+    if args.structure_rules:
+        config.structure_rules_path = args.structure_rules
+    if args.conjugation_rules:
+        config.conjugation_rules_path = args.conjugation_rules
+    if args.fold_hamza is not None:
+        config.fold_hamza = args.fold_hamza
+    if args.keep_diacritics is not None:
+        config.keep_diacritics = args.keep_diacritics
     return config
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    return data.decode("utf-8")
+    # Bytes, decoded whole: spans index the input as given, with no newline
+    # translation.
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+    except OSError as exc:
+        raise ArabicLintError(f"cannot read input: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArabicLintError(f"input is not valid UTF-8: {exc}") from exc
 
 
 def _want_color(choice: str, stream) -> bool:
@@ -168,21 +163,13 @@ def _parse_color_map(value: str | None) -> dict[str, str]:
 
 
 def cmd_check(args) -> int:
-    env = _load_env_config()
-    config = _build_config(args, env)
-    try:
-        text = _read_input(args.input)
-    except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
-        return 2
-    engine = Engine.from_config(config)
-    report = engine.analyze_text(text)
+    kind_colors = _parse_color_map(args.colors)
+    config = _build_config(args)
+    text = _read_input(args.input)
+    report = Engine.from_config(config).analyze_text(text)
     status = 1 if report.faults else 0
 
-    fmt = args.format or env.get("format") or "text"
+    fmt = args.format or "text"
     out = sys.stdout
     try:
         if fmt == "json":
@@ -191,9 +178,7 @@ def cmd_check(args) -> int:
         elif fmt == "html":
             out.write(render_html(report, text))
         else:
-            color_choice = args.color or env.get("color") or "auto"
-            use_color = _want_color(color_choice, out)
-            kind_colors = _parse_color_map(args.colors)
+            use_color = _want_color(args.color or "auto", out)
             out.write(render_text(report, text, color=use_color, kind_colors=kind_colors))
         out.flush()
     except BrokenPipeError:
@@ -206,8 +191,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    env = _load_env_config()
-    config = _build_config(args, env)
+    config = _build_config(args)
     corpus = load_corpus(args.corpus)
     engine = Engine.from_config(config)
     outcome = run_corpus(corpus, engine)
@@ -239,8 +223,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rules_validate(args) -> int:
-    env = _load_env_config()
-    engine = Engine.from_config(_build_config(args, env))
+    engine = Engine.from_config(_build_config(args))
     lexicon, affixes = engine.lexicon, engine.affixes
     structure_rules = engine.structure_rules
 
@@ -249,7 +232,7 @@ def cmd_rules_validate(args) -> int:
         f"affixes: {len(affixes.all_prefixes())} prefixes, "
         f"{len(affixes.all_suffixes())} suffixes (empty affix included)"
     )
-    verbal = sum(1 for r in structure_rules if r.kind == "Verbal")
+    verbal = sum(1 for r in structure_rules if r.kind == VERBAL)
     print(
         f"structure rules: {len(structure_rules)} "
         f"({verbal} verbal, {len(structure_rules) - verbal} nominal)"
@@ -261,8 +244,7 @@ def cmd_rules_validate(args) -> int:
 
 
 def cmd_lexicon_lookup(args) -> int:
-    env = _load_env_config()
-    config = _build_config(args, env)
+    config = _build_config(args)
     word = normalize(args.word, config.normalization).normalized
     if not word:
         raise ArabicLintError(f"word {args.word!r} is empty after normalization")
@@ -326,9 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        # A flag beats ARABICLINT_CONFIG, which beats the built-in default.
+        settings = vars(args)
+        for key, value in _load_env_config().items():
+            name = key.replace("-", "_")
+            if name in settings and settings[name] is None:
+                settings[name] = value
         return args.func(args)
     except ArabicLintError as exc:
         print(f"error: {exc}", file=sys.stderr)

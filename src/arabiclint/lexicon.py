@@ -135,7 +135,7 @@ def _parse_xml(source, error_cls):
         line, column = exc.position
         raise error_cls(f"malformed XML at line {line}, column {column}: {exc.msg}") from exc
     except OSError as exc:
-        raise error_cls(f"cannot read {source!r}: {exc}") from exc
+        raise error_cls(f"cannot read {source!r}: {exc.strerror or exc}") from exc
 
 
 def _read_text(source, error_cls) -> str:
@@ -146,7 +146,8 @@ def _read_text(source, error_cls) -> str:
         with open(source, encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise error_cls(f"cannot read {source!r}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # strerror omits the path
+        raise error_cls(f"cannot read {source!r}: {reason}") from exc
 
 
 def load_lexicon(source, options: NormalizationOptions | None = None) -> Lexicon:

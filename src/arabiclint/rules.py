@@ -87,10 +87,6 @@ class MatchOutcome:
         return cls(matched=True, rule_id=rule_id)
 
     @classmethod
-    def vacuous(cls) -> "MatchOutcome":
-        return _VACUOUS
-
-    @classmethod
     def unmatched(cls) -> "MatchOutcome":
         return _UNMATCHED
 
@@ -102,7 +98,6 @@ _UNMATCHED = MatchOutcome(matched=False, rule_id=None)
 @dataclass(frozen=True)
 class ConjugationRule:
     key: str  # normalized pronoun value, feature name, or sans-sujet
-    agreement: str  # "pronoun" | "feature" | "no-subject"
     tense: str  # PresentSimple | PresentNegation
     prebase: str  # required verb prefix, "*" accepts any
     postbase: str  # required verb suffix, "*" accepts any
@@ -215,15 +210,8 @@ def load_conjugation_rules(
         valeur = entry.get("valeur")
         if not valeur:
             raise RuleLoadError("<PronomPersonnel> without a valeur attribute")
-        if valeur == NO_SUBJECT_KEY:
-            agreement = "no-subject"
-            key = valeur
-        elif valeur in FEATURE_KEYS:
-            agreement = "feature"
-            key = valeur
-        else:
-            agreement = "pronoun"
-            key = normalize(valeur, opts).normalized
+        reserved = valeur == NO_SUBJECT_KEY or valeur in FEATURE_KEYS
+        key = valeur if reserved else normalize(valeur, opts).normalized
         for tense_elem in entry:
             if tense_elem.tag not in TENSES:
                 raise RuleLoadError(
@@ -243,7 +231,6 @@ def load_conjugation_rules(
             rules.append(
                 ConjugationRule(
                     key=key,
-                    agreement=agreement,
                     tense=tense_elem.tag,
                     prebase=_affix_text(prebase, opts),
                     postbase=_affix_text(postbase, opts),

@@ -90,7 +90,15 @@ class Sentence:
         cls, nt: NormalizedText, index: int, words, terminator: str | None = None
     ) -> Sentence:
         """Build a sentence from its word matches in `nt.normalized`."""
-        tokens = tuple(_tokens(nt, words))
+        offset_map = nt.offset_map
+        tokens = tuple(
+            Token(
+                surface=m.group(),
+                span=(offset_map[m.start()], offset_map[m.end() - 1] + 1),
+                ordinal=ordinal,
+            )
+            for ordinal, m in enumerate(words)
+        )
         return cls(index=index, tokens=tokens, terminator=terminator)
 
 
@@ -179,28 +187,6 @@ _SCAN_RE = re.compile(
 )
 _WORD_GROUP = 1
 _TERMINATOR_GROUP = 3
-
-
-def tokenize(nt: NormalizedText) -> list[Token]:
-    """Split normalized text into tokens with original-text spans.
-
-    Punctuation separates tokens and is dropped; Latin letters and digits
-    form opaque tokens of their own.
-    """
-    words = [m for m in _SCAN_RE.finditer(nt.normalized) if m.lastindex == _WORD_GROUP]
-    return _tokens(nt, words)
-
-
-def _tokens(nt: NormalizedText, words) -> list[Token]:
-    offset_map = nt.offset_map
-    return [
-        Token(
-            surface=m.group(),
-            span=(offset_map[m.start()], offset_map[m.end() - 1] + 1),
-            ordinal=ordinal,
-        )
-        for ordinal, m in enumerate(words)
-    ]
 
 
 def scan_sentences(normalized: str):

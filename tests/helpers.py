@@ -140,7 +140,7 @@ def oracle_first_assignment(tagged, rules, skip_categories=("Particule",)):
         chosen = dict(zip(map(id, active), assignment))
         indices = [chosen.get(id(t), 0) for t in tagged]
         if not labels:
-            return indices, labels, MatchOutcome.vacuous()
+            return indices, labels, MatchOutcome(matched=True)
         for rule in rules:
             if rule.exact:
                 if labels == rule.pattern:

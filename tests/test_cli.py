@@ -246,6 +246,81 @@ class TestCheck:
         assert code == 1
 
 
+
+def unreadable(tmp_path, kind):
+    """Path of a missing file, a directory or a non-UTF-8 file."""
+    if kind == "missing":
+        return str(tmp_path / "missing.txt")
+    if kind == "directory":
+        (tmp_path / "dir").mkdir()
+        return str(tmp_path / "dir")
+    return write_latin1(tmp_path, "latin1.txt")
+
+
+class TestOneErrorPath:
+    @pytest.mark.parametrize("fmt", ["text", "json", "html"])
+    def test_bad_colors_fails_before_input_and_data(
+        self, fmt, tmp_path, capsys, clean_env, monkeypatch
+    ):
+        def no_engine(config):
+            raise AssertionError("data files read before --colors was checked")
+
+        monkeypatch.setattr(arabiclint.Engine, "from_config", no_engine)
+        missing = str(tmp_path / "nope.txt")
+        assert main(["check", "--format", fmt, "--colors", "bogus", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "bogus")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+    @pytest.mark.parametrize("reader", ["ARABICLINT_CONFIG", "--affixes", "eval"])
+    def test_unreadable_file_names_its_path_once(
+        self, reader, kind, tmp_path, capsys, clean_env, monkeypatch
+    ):
+        path = unreadable(tmp_path, kind)
+        text = write(tmp_path, "in.txt", "ذهب")
+        argv = {
+            "ARABICLINT_CONFIG": ["check", text],
+            "--affixes": ["check", text, "--affixes", path],
+            "eval": ["eval", path],
+        }[reader]
+        if reader == "ARABICLINT_CONFIG":
+            monkeypatch.setenv(reader, path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "cannot read")
+        assert captured.err.count(path) == 1
+        assert captured.err.count("cannot read") == 1
+        assert captured.err.count("ARABICLINT_CONFIG") == (reader == "ARABICLINT_CONFIG")
+
+
+class TestEnvConfigBeyondCheck:
+    def test_fold_hamza_from_env_config_and_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ARABICLINT_CONFIG", write(tmp_path, "cfg", "fold-hamza = false\n"))
+        assert main(["lexicon", "lookup", "ياخذ"]) == 1
+        assert main(["lexicon", "lookup", "ياخذ", "--fold-hamza", "true"]) == 0
+
+    def test_empty_path_keeps_the_bundled_lexicon(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ARABICLINT_CONFIG", write(tmp_path, "cfg", "lexicon = \n"))
+        assert main(["lexicon", "lookup", "وقواعد"]) == 0
+        assert "NomPluriel" in capsys.readouterr().out
+
+    def test_rules_validate_reads_structure_rules(self, tmp_path, capsys, monkeypatch):
+        rules = write(
+            tmp_path,
+            "rules.xml",
+            "<ReglesApplicables><ReglesPhrasesVerbales>"
+            "<regle>verbe</regle>"
+            "</ReglesPhrasesVerbales></ReglesApplicables>",
+        )
+        # format is a check setting; other subcommands accept and ignore it.
+        config = write(tmp_path, "cfg", f"structure-rules = {rules}\nformat = json\n")
+        monkeypatch.setenv("ARABICLINT_CONFIG", config)
+        assert main(["rules", "validate"]) == 0
+        assert "structure rules: 1 (1 verbal, 0 nominal)" in capsys.readouterr().out
+
+
 def run_under_hash_seeds(args):
     """(exit code, stdout, stderr) of `python -m arabiclint.cli ARGS` under
     PYTHONHASHSEED 0, 1 and 2."""

@@ -165,7 +165,6 @@ class TestLoadConjugationRules:
         negation = rules.lookup("انتم", "PresentNegation")
         assert (simple.prebase, simple.postbase) == ("ت", "ون")
         assert (negation.prebase, negation.postbase) == ("ت", "وا")
-        assert simple.agreement == "pronoun"
 
     def test_keys_are_normalized(self):
         rules = load_conjugation_rules(io.StringIO(PRONOUN_TABLE_XML))
@@ -200,7 +199,6 @@ class TestLoadConjugationRules:
         rules = load_conjugation_rules(io.StringIO(xml))
         assert len(rules) == 1
         rule = rules.lookup("feminin-singulier", "PresentSimple")
-        assert rule.agreement == "feature"
         assert rule.postbase == ""
 
     def test_no_subject_entry_with_wildcard_prebase(self):
@@ -211,7 +209,6 @@ class TestLoadConjugationRules:
         )
         rules = load_conjugation_rules(io.StringIO(xml))
         rule = rules.lookup("sans-sujet", "PresentSimple")
-        assert rule.agreement == "no-subject"
         assert rule.prebase == "*"
 
     def test_unknown_tense_is_an_error(self):

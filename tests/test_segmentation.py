@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arabiclint import NormalizationOptions, normalize, split_sentences, tokenize
+from arabiclint import NormalizationOptions, normalize, split_sentences
 from arabiclint.segmentation import SENTENCE_TERMINATORS, scan_sentences
 
 from helpers import has_word, oracle_offset_map, oracle_segments, oracle_sentence_count
@@ -174,31 +174,36 @@ class TestSplitSentences:
         assert len(split_sentences(nt)) == oracle_sentence_count(nt.normalized)
 
 
+def tokens_of(nt):
+    """The tokens of every sentence of `nt`, in order."""
+    return [token for sentence in split_sentences(nt) for token in sentence.tokens]
+
+
 class TestTokenize:
     def test_three_words(self):
-        tokens = tokenize(normalize("أنتم لم تذهبوا"))
+        tokens = tokens_of(normalize("أنتم لم تذهبوا"))
         assert [t.surface for t in tokens] == ["انتم", "لم", "تذهبوا"]
 
     def test_whitespace_only(self):
-        assert tokenize(normalize("   ")) == []
+        assert split_sentences(normalize("   ")) == []
 
     def test_comma_dropped_without_splitting_sentence(self):
-        tokens = tokenize(normalize("العمليات أو الأنشطة، تشبعوا"))
+        tokens = tokens_of(normalize("العمليات أو الأنشطة، تشبعوا"))
         assert [t.surface for t in tokens] == ["العمليات", "او", "الانشطة", "تشبعوا"]
 
     def test_latin_and_digits_form_opaque_tokens(self):
-        tokens = tokenize(normalize("ذهب abc 123"))
+        tokens = tokens_of(normalize("ذهب abc 123"))
         assert [t.surface for t in tokens] == ["ذهب", "abc", "123"]
 
     def test_kept_diacritics_stay_inside_tokens(self):
         opts = NormalizationOptions(keep_diacritics=True)
-        tokens = tokenize(normalize("ذَهَبَ أكرم", opts))
+        tokens = tokens_of(normalize("ذَهَبَ أكرم", opts))
         assert [t.surface for t in tokens] == ["ذَهَبَ", "اكرم"]
 
     def test_spans_point_at_original_words(self):
         original = "و يبحث في أصول تكوين الجمّة وقواعد"
         nt = normalize(original)
-        tokens = tokenize(nt)
+        tokens = tokens_of(nt)
         spans = [original[s:e] for s, e in (t.span for t in tokens)]
         assert spans[5] == "الجمّة"  # span includes the interior shadda
         for token, fragment in zip(tokens, spans):

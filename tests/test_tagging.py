@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arabiclint.tagging as tagging_module
-from arabiclint import Engine, FaultKind, MatchOutcome, disambiguate, normalize, tokenize
+from arabiclint import Engine, FaultKind, MatchOutcome, disambiguate, normalize, split_sentences
 from arabiclint.rules import StructureRule
 
 from helpers import (
@@ -19,7 +19,7 @@ from helpers import (
 
 class TestDisambiguate:
     def test_verb_feminine_pair_matches(self, engine):
-        tagged = tag_known_words(engine, tokenize(normalize("تذهب إيمان")))
+        tagged = tag_known_words(engine, split_sentences(normalize("تذهب إيمان"))[0].tokens)
         structure, outcome = disambiguate(tagged, engine.structure_rules)
         assert structure.labels == ("Verbe", "NomPropreFeminin")
         assert outcome == MatchOutcome.for_rule("verbe NomPropreFeminin")
