@@ -22,7 +22,7 @@ from .engine import Engine, EngineConfig, data_path, default_config
 from .errors import ArabicLintError
 from .evaluation import PrecisionResult, load_corpus, run_corpus
 from .lexicon import SpellingVerdict, _read_text
-from .render import ANSI_CODES, render_html, render_json, render_text
+from .render import ANSI_CODES, DEFAULT_KIND_COLORS, render_html, render_json, render_text
 from .rules import VERBAL
 from .segmentation import normalize
 
@@ -132,12 +132,11 @@ def _read_input(path: str) -> str:
         else:
             with open(path, "rb") as handle:
                 data = handle.read()
-    except OSError as exc:
-        raise ArabicLintError(f"cannot read input: {exc}") from exc
-    try:
         return data.decode("utf-8")
+    except OSError as exc:  # strerror omits the path
+        raise ArabicLintError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ArabicLintError(f"input is not valid UTF-8: {exc}") from exc
+        raise ArabicLintError(f"cannot read {path!r}: not valid UTF-8: {exc}") from exc
 
 
 def _want_color(choice: str, stream) -> bool:
@@ -156,7 +155,7 @@ def _parse_color_map(value: str | None) -> dict[str, str]:
         kind, _, name = item.partition("=")
         kind = kind.strip()
         name = name.strip()
-        if kind not in ("spelling", "structure", "conjugation") or name not in ANSI_CODES:
+        if kind not in DEFAULT_KIND_COLORS or name not in ANSI_CODES:
             raise ArabicLintError(f"bad --colors entry {item!r}")
         mapping[kind] = name
     return mapping

@@ -122,6 +122,11 @@ class SentenceRecord:
 
 @dataclass
 class Report:
+    """One text's analysis, in document order, which the text and HTML
+    renderers walk once: `structures[i]` is sentence `i`; faults are ordered
+    by sentence index, then token ordinal, then kind (spelling, structure,
+    conjugation); and every fault span lies inside its sentence's span."""
+
     faults: list[Fault] = field(default_factory=list)
     structures: list[SentenceRecord] = field(default_factory=list)
     stats: dict[str, int] = field(default_factory=dict)

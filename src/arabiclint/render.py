@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import html
 import json
-from bisect import bisect_left
 from itertools import islice
 from json.encoder import encode_basestring
 
@@ -170,89 +169,71 @@ def render_text(
     kind_colors: dict[str, str] | None = None,
 ) -> str:
     """Human-readable report; fault spans are colored when `color` is set."""
-    colors = dict(DEFAULT_KIND_COLORS)
-    if kind_colors:
-        colors.update(kind_colors)
+    colors = {**DEFAULT_KIND_COLORS, **(kind_colors or {})}
+
+    def painted(piece: str, fault) -> str:
+        return paint(piece, colors[fault.kind.value])
+
     lines: list[str] = []
-    spans_by_sentence = {s.index: s.span for s in report.structures}
     for fault in report.faults:
         kind = fault.kind.value
         label = paint(kind, colors[kind]) if color else kind
         lines.append(f"sentence {fault.sentence_index + 1}: {label}: {fault.message}")
-        sent_span = spans_by_sentence.get(fault.sentence_index)
-        if sent_span is not None:
-            lines.append("    " + _excerpt(text, sent_span, fault, color, colors[kind]))
-    total = len(report.faults)
-    if total:
-        per_kind = ", ".join(
-            f"{report.stats.get(kind.value, 0)} {kind.value}" for kind in FaultKind
-        )
-        lines.append(f"{total} fault(s): {per_kind}")
+        start, end = report.structures[fault.sentence_index].span
+        excerpt = _highlight(text, start, end, (fault,), str, painted) if color else text[start:end]
+        lines.append("    " + excerpt)
+    if report.faults:
+        lines.append(f"{len(report.faults)} fault(s): {_summary(report)}")
     else:
         lines.append("no faults")
-    for warning in report.warnings:
-        lines.append(f"warning: {warning}")
+    lines.extend(f"warning: {warning}" for warning in report.warnings)
     return "\n".join(lines) + "\n"
 
 
-def _excerpt(text: str, sent_span, fault, color: bool, color_name: str) -> str:
-    start, end = sent_span
-    sentence = text[start:end]
-    if not color:
-        return sentence
+def _highlight(text: str, start: int, end: int, faults, plain, wrap) -> str:
+    """`text[start:end]`, each of `faults`' spans passed through
+    `wrap(piece, fault)` and the text between them through `plain`. The
+    spans must lie inside the range, in order and without overlap."""
     pieces = []
     cursor = start
-    for span in sorted(fault.spans):
-        s = max(span[0], start)
-        e = min(span[1], end)
-        if s < cursor or e <= s:
-            continue
-        pieces.append(sentence[cursor - start : s - start])
-        pieces.append(paint(sentence[s - start : e - start], color_name))
-        cursor = e
-    pieces.append(sentence[cursor - start :])
+    for fault in faults:
+        for s, e in fault.spans:
+            pieces.append(plain(text[cursor:s]))
+            pieces.append(wrap(text[s:e], fault))
+            cursor = e
+    pieces.append(plain(text[cursor:end]))
     return "".join(pieces)
+
+
+def _summary(report: Report) -> str:
+    """The fault count of each kind, as `N spelling, N structure, N conjugation`."""
+    return ", ".join(f"{report.stats.get(kind.value, 0)} {kind.value}" for kind in FaultKind)
+
+
+def _mark(piece: str, fault) -> str:
+    return f'<mark class="fault-{fault.kind.value}">{html.escape(piece)}</mark>'
 
 
 def render_html(report: Report, text: str) -> str:
     """Minimal standalone page with class-tagged <mark> spans per fault kind."""
-    # Token faults get inline marks; structure faults class the sentence block.
-    marks: list[tuple[int, int, str]] = []
-    for fault in report.faults:
-        if fault.kind is FaultKind.STRUCTURE:
-            continue
-        for span in fault.spans:
-            marks.append((span[0], span[1], fault.kind.value))
-    marks.sort()
-
-    structure_fault_sentences = {
-        f.sentence_index for f in report.faults if f.kind is FaultKind.STRUCTURE
-    }
-
+    # One pass over the sentences, one cursor through the faults, which come in
+    # the same order. Token faults get inline marks; structure faults class the
+    # sentence block.
+    faults = report.faults
+    i = 0
     body: list[str] = []
     for record in report.structures:
-        start, end = record.span
-        classes = ["sentence"]
-        if record.index in structure_fault_sentences:
-            classes.append("fault-structure")
-        inner: list[str] = []
-        cursor = start
-        # Marks are sorted, so this sentence's are a run starting at its start.
-        for i in range(bisect_left(marks, (start,)), len(marks)):
-            s, e, kind = marks[i]
-            if s > end:
-                break
-            if e > end:
-                continue
-            inner.append(html.escape(text[cursor:s]))
-            inner.append(f'<mark class="fault-{kind}">{html.escape(text[s:e])}</mark>')
-            cursor = e
-        inner.append(html.escape(text[cursor:end]))
-        body.append(f'<p class="{" ".join(classes)}" dir="rtl">{"".join(inner)}</p>')
+        classes = "sentence"
+        marks = []
+        while i < len(faults) and faults[i].sentence_index == record.index:
+            if faults[i].kind is FaultKind.STRUCTURE:
+                classes = "sentence fault-structure"
+            else:
+                marks.append(faults[i])
+            i += 1
+        inner = _highlight(text, *record.span, marks, html.escape, _mark)
+        body.append(f'<p class="{classes}" dir="rtl">{inner}</p>')
 
-    summary = ", ".join(
-        f"{report.stats.get(kind.value, 0)} {kind.value}" for kind in FaultKind
-    )
     style = (
         "mark.fault-spelling{background:#fbb}"
         "mark.fault-conjugation{background:#fbf}"
@@ -262,5 +243,5 @@ def render_html(report: Report, text: str) -> str:
         "<!doctype html>\n<html><head><meta charset=\"utf-8\">"
         f"<style>{style}</style></head>\n<body>\n"
         + "\n".join(body)
-        + f"\n<p class=\"summary\">{summary}</p>\n</body></html>\n"
+        + f"\n<p class=\"summary\">{_summary(report)}</p>\n</body></html>\n"
     )

@@ -90,13 +90,8 @@ class Sentence:
         cls, nt: NormalizedText, index: int, words, terminator: str | None = None
     ) -> Sentence:
         """Build a sentence from its word matches in `nt.normalized`."""
-        offset_map = nt.offset_map
         tokens = tuple(
-            Token(
-                surface=m.group(),
-                span=(offset_map[m.start()], offset_map[m.end() - 1] + 1),
-                ordinal=ordinal,
-            )
+            Token(surface=m.group(), span=nt.span_in_original(*m.span()), ordinal=ordinal)
             for ordinal, m in enumerate(words)
         )
         return cls(index=index, tokens=tokens, terminator=terminator)

@@ -84,6 +84,10 @@ class TestCheck:
         path = write(tmp_path, "in.txt", "أنتم لم تذهبون. و يبحث في الجمّة")
         main(["check", path, "--color", "never"])
         assert "\x1b[" not in capsys.readouterr().out
+        # Without --color, the default `auto` paints nothing into capsys,
+        # which is not a TTY.
+        assert main(["check", path]) == 1
+        assert "\x1b[" not in capsys.readouterr().out
 
     def test_color_always_paints_the_span(self, tmp_path, capsys, clean_env):
         path = write(tmp_path, "in.txt", "أنتم لم تذهبون")
@@ -273,7 +277,7 @@ class TestOneErrorPath:
         assert_one_error_line(captured.err, "bogus")
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
-    @pytest.mark.parametrize("reader", ["ARABICLINT_CONFIG", "--affixes", "eval"])
+    @pytest.mark.parametrize("reader", ["ARABICLINT_CONFIG", "--affixes", "eval", "input"])
     def test_unreadable_file_names_its_path_once(
         self, reader, kind, tmp_path, capsys, clean_env, monkeypatch
     ):
@@ -283,6 +287,7 @@ class TestOneErrorPath:
             "ARABICLINT_CONFIG": ["check", text],
             "--affixes": ["check", text, "--affixes", path],
             "eval": ["eval", path],
+            "input": ["check", path],
         }[reader]
         if reader == "ARABICLINT_CONFIG":
             monkeypatch.setenv(reader, path)

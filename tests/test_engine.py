@@ -32,6 +32,7 @@ from helpers import (
     oracle_sentence_verdict,
     tag_known_words,
 )
+from test_acceptance import _fuzz_document
 
 TABLE_TEXTS = [
     "يبحث في أصول تكوين الجملة وقواعد الإعراب",
@@ -160,6 +161,19 @@ class TestAnalyzeSentence:
         assert record.verdict.matched is True and record.verdict.rule_id is None
 
 
+@pytest.fixture(scope="module")
+def fuzz_reports(engine):
+    """Reports of the first 300 criterion-6 fuzz documents, each analyzed
+    sequentially and with `parallel=True`."""
+    rng = random.Random(424242)
+    documents = [_fuzz_document(rng) for _ in range(300)]
+    return [
+        engine.analyze_text(document, parallel=parallel)
+        for document in documents
+        for parallel in (False, True)
+    ]
+
+
 class TestAnalyzeText:
     def test_empty_text(self, engine):
         report = engine.analyze_text("")
@@ -176,33 +190,41 @@ class TestAnalyzeText:
             solo = engine.analyze_text(part)
             assert kinds(solo) == [FaultKind.CONJUGATION]
 
-    def test_faults_ordered_by_sentence_span_then_kind(self, engine):
+    def test_faults_ordered_by_sentence_span_then_kind(self, engine, fuzz_reports):
         text = "كلمذة ذلك المكان. و يبحث في الجمّة"
         report = engine.analyze_text(text)
-        keys = [
-            (f.sentence_index, f.spans[0][0], ["spelling", "structure", "conjugation"].index(f.kind.value))
-            for f in report.faults
-        ]
-        assert keys == sorted(keys)
+        for each in [report] + fuzz_reports:
+            keys = [
+                (
+                    f.sentence_index,
+                    f.ordinal,
+                    f.spans[0][0],
+                    ["spelling", "structure", "conjugation"].index(f.kind.value),
+                )
+                for f in each.faults
+            ]
+            assert keys == sorted(keys)
         # Sentence 0: spelling on the first token ties with the structure
         # fault on span start; spelling ranks first.
         first_two = [f.kind for f in report.faults[:2]]
         assert first_two == [FaultKind.SPELLING, FaultKind.STRUCTURE]
 
-    def test_every_fault_span_inside_its_sentence(self, engine):
-        for text in TABLE_TEXTS:
-            report = engine.analyze_text(text)
+    def test_every_fault_span_inside_its_sentence(self, engine, fuzz_reports):
+        reports = [engine.analyze_text(text) for text in TABLE_TEXTS]
+        for report in reports + fuzz_reports:
+            # Record i is sentence i, so the renderers find a fault's sentence by index.
+            assert [r.index for r in report.structures] == list(range(len(report.structures)))
             spans = {r.index: r.span for r in report.structures}
             for fault in report.faults:
                 lo, hi = spans[fault.sentence_index]
                 for start, end in fault.spans:
                     assert lo <= start < end <= hi
 
-    def test_fault_span_shapes(self, engine):
+    def test_fault_span_shapes(self, engine, fuzz_reports):
         # Word faults carry exactly one span; structure faults cover the
         # whole sentence.
-        for text in TABLE_TEXTS:
-            report = engine.analyze_text(text)
+        reports = [engine.analyze_text(text) for text in TABLE_TEXTS]
+        for report in reports + fuzz_reports:
             spans = {r.index: r.span for r in report.structures}
             for fault in report.faults:
                 assert len(fault.spans) == 1

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from dataclasses import replace
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from arabiclint import Engine, Fault, FaultKind, Report, render
 from arabiclint.cli import main
 from arabiclint.engine import SentenceRecord, SentenceVerdict
-from arabiclint.render import canonical_json, render_html, render_json
+from arabiclint.render import ANSI_CODES, canonical_json, render_html, render_json, render_text
 
 from helpers import deadline, oracle_render_html
 from test_acceptance import _fuzz_document
@@ -165,3 +166,27 @@ def test_html_time_is_linear_in_document_size(engine):
         render_html(report, text)
         elapsed = time.perf_counter() - started
     assert elapsed < 2.0, f"256 KiB rendered in {elapsed:.2f}s"
+
+
+ANSI_ESCAPE = re.compile(r"\x1b\[[0-9;]*m")
+PAINTED = re.compile(r"\x1b\[4;([0-9]+)m(.*?)\x1b\[0m", re.DOTALL)
+
+
+def test_color_text_paints_exactly_each_fault_span(engine):
+    defaults = {"spelling": "red", "structure": "yellow", "conjugation": "magenta"}
+    rng = random.Random(424242)
+    for _ in range(300):
+        document = _fuzz_document(rng)
+        report = engine.analyze_text(document)
+        plain = render_text(report, document)
+        for mapping in (None, {"spelling": "cyan"}):
+            colored = render_text(report, document, color=True, kind_colors=mapping)
+            assert ANSI_ESCAPE.sub("", colored) == plain
+            # Each fault paints its kind label, then exactly the text of its spans.
+            expected = []
+            for fault in report.faults:
+                kind = fault.kind.value
+                code = ANSI_CODES[(mapping or {}).get(kind, defaults[kind])]
+                expected.append((code, kind))
+                expected += [(code, document[s:e]) for s, e in fault.spans]
+            assert PAINTED.findall(colored) == expected
